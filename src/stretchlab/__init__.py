@@ -13,8 +13,8 @@ Core surface:
   form on their weight space
 - :mod:`stretchlab.search`     exhaustive matrix searches against the bound
 
-Hot kernels run through a compiled Cython core with a pure-Python twin
-(``STRETCHLAB_PURE=1`` forces the fallback); both produce identical output.
+Hot kernels run through a compiled Cython core when it is built, else
+through its pure-Python twin; both produce identical output.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

@@ -1,23 +1,17 @@
 """Hot-kernel backend selection.
 
-The compiled Cython module is preferred when it built; the pure-Python twin
-has identical semantics and is selected automatically when the extension is
-unavailable, or explicitly with STRETCHLAB_PURE=1.  ``benchmarks/`` compares
+The compiled Cython module is used when it imports; otherwise the
+pure-Python twin, which has identical semantics.  ``benchmarks/`` compares
 the two.
 """
-
-import os
 
 from . import _pure
 from ._common import CapExceeded
 
-if os.environ.get("STRETCHLAB_PURE"):
+try:
+    from . import _speedups as _impl  # type: ignore[attr-defined]
+except ImportError:
     _impl = _pure
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _pure
 
 BACKEND = _impl.BACKEND
 charpoly = _impl.charpoly

@@ -221,12 +221,8 @@ def sqrt_min_poly(p: int, q: int) -> tuple[IntPolynomial, bool]:
     return quartic, not reducible
 
 
-def is_salem_like(p: IntPolynomial, tol: float = 1e-9) -> bool:
-    """Reciprocal with all roots except lambda^{+-1} on the unit circle.
-
-    ``tol`` is only consumed by the numeric cross-check path of the
-    unit-circle count; the default decision here is exact.
-    """
+def is_salem_like(p: IntPolynomial) -> bool:
+    """Reciprocal with all roots except lambda^{+-1} on the unit circle (exact)."""
     if p.is_zero():
         raise ValueError("classification of the zero polynomial")
     m = p.degree()

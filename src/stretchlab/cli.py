@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +28,6 @@ from .families import (
 from .matrices import (
     IntMatrix,
     char_poly,
-    determinant,
-    in_glnz,
     is_primitive,
     matrix_from_json,
     normalized_spectral_radius,
@@ -172,6 +171,7 @@ def _cmd_matrix(args) -> int:
     m = _parse_matrix(args.file or args.matrix)
     report = is_primitive(m)
     chi = char_poly(m)
+    det = (-1) ** m.n * chi.constant_term()
     payload = {
         "n": m.n,
         "char_poly": poly_to_json(chi),
@@ -181,8 +181,8 @@ def _cmd_matrix(args) -> int:
             "period": report.period,
             "primitive": report.primitive,
         },
-        "det": str(determinant(m)),
-        "in_glnz": in_glnz(m),
+        "det": str(det),
+        "in_glnz": det in (1, -1),
         "spectral_class": _spectral_class_json(classify(chi), args.tol),
     }
     try:
@@ -259,7 +259,7 @@ def _cmd_sharpness(args) -> int:
     if args.table:
         ks = _parse_range(args.table)
         rows = []
-        for k in range(min(ks), max(ks) + 1):
+        for k in ks:
             ex = build_example(k, tol)
             rows.append(
                 {
@@ -298,7 +298,14 @@ def _cmd_traintrack(args) -> int:
     return 0
 
 
+def _check_threads(threads: int) -> None:
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise InputError(f"--threads must be between 1 and {cpus} (the CPU count), got {threads}")
+
+
 def _cmd_search(args) -> int:
+    _check_threads(args.threads)
     cfg = SearchConfig(n=args.n, max_entry=args.max_entry, tol=args.tol)
     result = run_search(cfg, threads=args.threads)
     payload = {
@@ -399,24 +406,21 @@ def _repro_set_theorem(tol: Fraction) -> tuple[dict, bool]:
 
 def _repro_thm_main(tol: Fraction, threads: int) -> tuple[dict, bool]:
     checks = []
-    threshold = silver_ratio_squared(tol)
-    bound = float(threshold.midpoint)
+    mu = largest_real_root(IntPolynomial((-1, -1, 1)), tol)
 
     minima = {}
-    min_floats = {}
     ok_family = True
+    at4 = False
     for n in (4, 5, 6, 7, 8, 9, 10, 12):
         reports = enumerate_admissible(n, tol=tol)
-        if reports:
-            value = float(reports[0].normalized.midpoint)
-            minima[str(n)] = reports[0].normalized.decimal()
-            min_floats[n] = value
-            if value < bound - 1e-9:
-                ok_family = False
-        else:
+        if not reports:
             minima[str(n)] = None
-    mu4 = 6.854101966249685
-    at4 = 4 in min_floats and abs(min_floats[4] - mu4) < 1e-9
+            continue
+        minima[str(n)] = reports[0].normalized.decimal()
+        if compare_power_to_silver_squared(reports[0].root, n) < 0:
+            ok_family = False
+        if n == 4:
+            at4 = compare_enclosures(reports[0].root, mu) == 0
     ok_family = ok_family and at4
     checks.append(
         {
@@ -440,8 +444,8 @@ def _repro_thm_main(tol: Fraction, threads: int) -> tuple[dict, bool]:
     )
 
     rows = convergence_table(40, tol)
-    p2 = float(rows[0].normalized.midpoint)
-    ok_sharp = abs(p2 - mu4) < 1e-9 and all(r.residual < 1e-9 for r in rows)
+    p2_is_mu4 = compare_enclosures(build_example(2, tol).root, mu) == 0
+    ok_sharp = p2_is_mu4 and all(r.residual < 1e-9 for r in rows)
     checks.append(
         {
             "check": "sharpness family k=2..40 built and certified above the bound",
@@ -471,6 +475,7 @@ def _repro_thm_main(tol: Fraction, threads: int) -> tuple[dict, bool]:
 
 
 def _cmd_repro(args) -> int:
+    _check_threads(args.threads)
     if args.target == "set-theorem":
         payload, ok = _repro_set_theorem(args.tol)
     elif args.target == "thm-main":
@@ -539,13 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive matrix search against the bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-entry", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="worker processes, 1 to the CPU count")
     common(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("repro", help="reproduce a paper-level claim end to end")
     p.add_argument("target", choices=("thm-main", "set-theorem"))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="worker processes, 1 to the CPU count")
     common(p)
     p.set_defaults(func=_cmd_repro)
 

@@ -216,32 +216,40 @@ class DivisionResult(NamedTuple):
     exact: bool
 
 
+def _pseudo_divide(p: IntPolynomial, q: IntPolynomial) -> tuple[list[int], list[int], int]:
+    """Pseudo-division over Z: ``lead(q)^steps * p == quot * q + rem``.
+
+    ``steps = max(deg p - deg q + 1, 0)``; returns the coefficient lists of
+    ``quot`` and ``rem`` (``deg rem < deg q``) and the multiplier
+    ``lead(q)^steps``.  Raises ZeroDivisionError for a zero divisor.
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    lq = q.lead
+    dq = q.degree()
+    steps = max(p.degree() - dq + 1, 0)
+    rem = list(p.coeffs)
+    quot = [0] * steps
+    for k in range(p.degree(), dq - 1, -1):
+        coef = rem[k]
+        if lq != 1:
+            for i in range(len(rem)):
+                rem[i] *= lq
+            for i in range(steps):
+                quot[i] *= lq
+        quot[k - dq] += coef
+        if coef:
+            for j in range(dq + 1):
+                rem[k - dq + j] -= coef * q.coeffs[j]
+    return quot, rem, lq**steps
+
+
 def divrem(p: IntPolynomial, q: IntPolynomial) -> DivisionResult:
     """Exact division with remainder over the rationals.
 
     Raises ZeroDivisionError for a zero divisor.
     """
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by the zero polynomial")
-    if p.degree() < q.degree():
-        return DivisionResult(zero(), p, 1, True)
-    lq = q.lead
-    dq = q.degree()
-    steps = p.degree() - dq + 1
-    # Pseudo-division: lq^steps * p = Q * q + R with integer Q, R.
-    rem = list(p.coeffs)
-    quot = [0] * steps
-    for k in range(p.degree(), dq - 1, -1):
-        coef = rem[k]
-        for i in range(len(rem)):
-            rem[i] *= lq
-        for i in range(steps):
-            quot[i] *= lq
-        quot[k - dq] += coef
-        if coef:
-            for j in range(dq + 1):
-                rem[k - dq + j] -= coef * q.coeffs[j]
-    den = lq**steps
+    quot, rem, den = _pseudo_divide(p, q)
     if den < 0:
         den = -den
         quot = [-c for c in quot]
@@ -264,23 +272,14 @@ def exact_div(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return res.quotient
 
 
-def pseudo_rem(p: IntPolynomial, q: IntPolynomial) -> tuple[IntPolynomial, int]:
-    """(prem, sign of the pseudo-division multiplier lead(q)^(deg p - deg q + 1))."""
-    if q.is_zero():
-        raise ZeroDivisionError("pseudo-division by the zero polynomial")
-    dq = q.degree()
-    lq = q.lead
-    rem = list(p.coeffs)
-    for k in range(p.degree(), dq - 1, -1):
-        coef = rem[k] if k < len(rem) else 0
-        for i in range(len(rem)):
-            rem[i] *= lq
-        if coef:
-            for j in range(dq + 1):
-                rem[k - dq + j] -= coef * q.coeffs[j]
-    steps = p.degree() - dq + 1
-    mult_sign = 1 if lq > 0 else (1 if steps % 2 == 0 else -1)
-    return IntPolynomial(rem), mult_sign
+def pseudo_rem(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """|lead(q)|^steps * (p mod q): a positive integer multiple of the remainder.
+
+    Unlike divrem, it takes no content gcd; remainder sequences take primitive
+    parts themselves.
+    """
+    _, rem, den = _pseudo_divide(p, q)
+    return IntPolynomial(rem) if den > 0 else -IntPolynomial(rem)
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -293,8 +292,7 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     if a.degree() < b.degree():
         a, b = b, a
     while not b.is_zero():
-        r, _ = pseudo_rem(a, b)
-        a, b = b, r.primitive_part()
+        a, b = b, pseudo_rem(a, b).primitive_part()
     if a.lead < 0:
         a = -a
     return a

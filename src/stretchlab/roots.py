@@ -88,11 +88,10 @@ def sturm_chain(p: IntPolynomial) -> SturmChain:
         return SturmChain((f,))
     chain = [f, f.derivative().primitive_part()]
     while chain[-1].degree() > 0:
-        rem, mult_sign = pseudo_rem(chain[-2], chain[-1])
+        rem = pseudo_rem(chain[-2], chain[-1])
         if rem.is_zero():
             break  # cannot happen for square-free input, kept as a guard
-        nxt = rem if mult_sign < 0 else -rem
-        chain.append(nxt.primitive_part())
+        chain.append((-rem).primitive_part())
     return SturmChain(tuple(chain))
 
 

@@ -22,7 +22,7 @@ from multiprocessing import Pool
 
 from . import _kernels
 from .classify import classify, is_skew_reciprocal_up_to_cyclotomic
-from .matrices import IntMatrix, char_poly, determinant, in_glnz, is_primitive
+from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
 from .roots import (
     DEFAULT_TOL,
@@ -52,9 +52,6 @@ def _budget() -> int:
 class SearchConfig:
     n: int
     max_entry: int
-    require_glnz: bool = True
-    require_primitive: bool = True
-    require_skew_up_to_cyclotomic: bool = True
     tol: Fraction = DEFAULT_TOL
 
     @property
@@ -107,19 +104,6 @@ def _survivor_indices(cfg: SearchConfig, threads: int) -> list[int]:
     return [idx for part in parts for idx in part]
 
 
-def _slow_filter(cfg: SearchConfig) -> list[int]:
-    out = []
-    for idx in range(cfg.space_size):
-        rows = _kernels.decode_matrix(idx, cfg.n, cfg.max_entry + 1)
-        m = IntMatrix(rows)
-        if cfg.require_primitive and not is_primitive(m).primitive:
-            continue
-        if cfg.require_glnz and not in_glnz(m):
-            continue
-        out.append(idx)
-    return out
-
-
 def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
     """Exhaustive scan of all (max_entry+1)^(n^2) matrices."""
     total = cfg.space_size
@@ -128,10 +112,7 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
             f"search space {total} exceeds budget {_budget()}; "
             f"raise {BUDGET_ENV} to override"
         )
-    if cfg.require_primitive and cfg.require_glnz:
-        survivors = _survivor_indices(cfg, threads)
-    else:
-        survivors = _slow_filter(cfg)
+    survivors = _survivor_indices(cfg, threads)
 
     base = cfg.max_entry + 1
     by_poly: dict[tuple[int, ...], list[int]] = {}
@@ -144,7 +125,7 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
     count_qualifying = 0
     for coeffs in sorted(by_poly):
         poly = IntPolynomial(coeffs)
-        if cfg.require_skew_up_to_cyclotomic and not is_skew_reciprocal_up_to_cyclotomic(poly):
+        if not is_skew_reciprocal_up_to_cyclotomic(poly):
             continue
         if real_roots_in_interval(poly, 1, cauchy_root_bound(poly)) == 0:
             continue  # spectral radius not > 1
@@ -205,8 +186,8 @@ class WitnessReport:
 def witness_check(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> WitnessReport:
     """Run the full qualification pipeline on a single matrix."""
     report = is_primitive(a)
-    det = determinant(a)
     chi = char_poly(a)
+    det = (-1) ** a.n * chi.constant_term()
     spectral = classify(chi)
     root = None
     normalized = None

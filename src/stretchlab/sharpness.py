@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
-from .matrices import IntMatrix, char_poly, determinant, is_primitive
+from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
 from .roots import (
     DEFAULT_TOL,
@@ -25,7 +25,7 @@ from .roots import (
 )
 
 
-class SharpnessInvariantError(AssertionError):
+class SharpnessInvariantError(ArithmeticError):
     """A constructed example failed one of its certified invariants."""
 
 
@@ -85,10 +85,11 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
     expected = expected_char_poly(k)
     if chi != expected:
         raise SharpnessInvariantError(f"char poly mismatch at k={k}")
+    # det = (-1)^(2k) chi(0) = chi(0)
+    if chi.constant_term() not in (1, -1):
+        raise SharpnessInvariantError(f"matrix not in GL at k={k}")
     if not is_primitive(matrix).primitive:
         raise SharpnessInvariantError(f"matrix not primitive at k={k}")
-    if determinant(matrix) not in (1, -1):
-        raise SharpnessInvariantError(f"matrix not in GL at k={k}")
     if not is_skew_reciprocal_up_to_cyclotomic(chi):
         raise SharpnessInvariantError(f"char poly not skew-up-to-cyclotomic at k={k}")
     if not parity_condition(chi):

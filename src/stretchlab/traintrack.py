@@ -387,9 +387,9 @@ class RadicalReport:
     spans_equal: bool
 
 
-def radical_report(track: TrainTrack) -> RadicalReport:
+def radical_report(track: TrainTrack, ws: WeightSpace | None = None) -> RadicalReport:
     """Check span{r_c} against rad(omega): containment always, equality reported."""
-    ws = weight_space(track)
+    ws = ws or weight_space(track)
     dim, _ = radical(track, ws)
     elements = radical_elements(track)
     in_ws = all(satisfies_switch_conditions(track, r) for r in elements)
@@ -432,8 +432,7 @@ def track_report(track: TrainTrack) -> dict:
     ws = weight_space(track)
     gram = gram_form(track, ws)
     comps = boundary_components(track)
-    rad_dim, _ = radical(track, ws)
-    rep = radical_report(track)
+    rep = radical_report(track, ws)
     return {
         "edges": track.n_edges,
         "real_edges": len(track.real_edges()),
@@ -444,7 +443,7 @@ def track_report(track: TrainTrack) -> dict:
         "boundary": [
             {"length": len(c.walk), "cusps": c.cusps, "inner": c.inner} for c in comps
         ],
-        "radical_dim": rad_dim,
+        "radical_dim": rep.dimension,
         "radical_elements": rep.element_count,
         "radical_containment": rep.elements_in_radical,
         "radical_spans_equal": rep.spans_equal,

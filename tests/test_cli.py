@@ -1,10 +1,15 @@
 """CLI behavior: exit codes, schemas, determinism of repro targets."""
 
 import json
+import os
 
 import jsonschema
+import pytest
 
+import stretchlab.search
+import stretchlab.sharpness
 from stretchlab.cli import main
+from stretchlab.poly import IntPolynomial
 
 ENCLOSURE_SCHEMA = {
     "type": ["object", "null"],
@@ -153,6 +158,31 @@ def test_sharpness_commands(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "k,p_k,q_k,char_poly,normalized"
     assert len(lines) == 4
+
+
+def test_sharpness_table_comma_list_runs_only_listed_k(capsys):
+    code, out = run_cli(capsys, "sharpness", "--table", "2,5,9")
+    assert code == 0
+    assert [row["k"] for row in json.loads(out)["table"]] == [2, 5, 9]
+
+
+def test_sharpness_invariant_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(stretchlab.sharpness, "expected_char_poly", lambda k: IntPolynomial((1, 1)))
+    assert main(["sharpness", "--k", "3"]) == 1
+    assert capsys.readouterr().err.startswith("check failed")
+
+
+def test_threads_out_of_range_exits_2_before_any_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool started for an out-of-range --threads")
+
+    monkeypatch.setattr(stretchlab.search, "Pool", no_pool)
+    for threads in (0, os.cpu_count() + 1):
+        for argv in (["search", "--n", "3", "--max-entry", "1"], ["repro", "thm-main"]):
+            assert main([*argv, "--threads", str(threads)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --threads")
 
 
 def test_search_command_schema(capsys):

@@ -19,6 +19,7 @@ from stretchlab.poly import (
     poly_from_json,
     poly_gcd,
     poly_to_json,
+    pseudo_rem,
     square_free_decomposition,
     square_free_part,
 )
@@ -79,6 +80,23 @@ def test_divrem_roundtrip(pc, qc):
     assert exact and den == 1
     assert quot == p
     assert rem.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_pseudo_rem_is_positive_multiple_of_remainder(pc, qc):
+    p, q = P(pc), P(qc)
+    if q.is_zero():
+        return
+    prem = pseudo_rem(p, q)
+    rem = divrem(p, q).remainder
+    assert prem.degree() < q.degree()
+    if rem.is_zero():
+        assert prem.is_zero()
+        return
+    factor = prem.lead // rem.lead
+    assert factor > 0
+    assert prem == rem * factor
 
 
 def test_exact_div_raises_with_remainder():
