@@ -6,7 +6,8 @@ conditions on the coefficient vector.  "Skew-reciprocal up to cyclotomic
 factors" allows roots of unity to break the symmetry, equivalently the
 polynomial splits as (product of cyclotomics) x (skew-reciprocal).  The
 classifier strips the maximal cyclotomic divisor by exact trial division
-and tests the cyclotomic-free core.
+and tests the cyclotomic-free core; the predicate alone first rejects, by
+the parity condition, the polynomials that cannot split that way.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial) -> bool:
 
     A root at 0 classifies as False.  A purely cyclotomic p counts as True
     (the skew factor is the constant), flagged degenerate by classify().
+
+    The parity condition is necessary, so a polynomial failing it is
+    rejected before any trial division.  Write p = C * S with C a product
+    of cyclotomics and S skew-reciprocal, and f* = t^deg f(1/t) for the
+    reversal.  Then p* = C* S*, where C* = +-C (each Phi_m is palindromic
+    up to sign) and S* = +-S(-t).  Modulo 2 both signs and t -> -t vanish,
+    so p* = p coefficientwise mod 2, which is parity_condition(p).
     """
     if p.is_zero():
         raise ValueError("classification of the zero polynomial")
@@ -99,6 +107,8 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial) -> bool:
     # involution t -> -1/t permutes roots of unity among themselves.
     if is_skew_reciprocal(p) is not None:
         return True
+    if not parity_condition(p):
+        return False
     _, core = strip_cyclotomic(p)
     if core.degree() == 0:
         return True

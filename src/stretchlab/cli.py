@@ -9,6 +9,8 @@ carry their enclosure next to the 10-significant-digit decimal.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -99,7 +101,11 @@ def _parse_range(value: str) -> list[int]:
 def _emit(payload: dict, args) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        # Streamed in batches of encoder chunks: one joined string of an
+        # MB-sized report (the k = 200 sharpness matrix) would double the
+        # peak memory, and one write per chunk costs more than the encoding.
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+        batches = iter(lambda: "".join(itertools.islice(chunks, 4096)), "")
     elif fmt == "csv":
         rows = payload.get("table")
         if rows is None:
@@ -107,14 +113,14 @@ def _emit(payload: dict, args) -> None:
         header = list(rows[0].keys()) if rows else []
         lines = [",".join(header)]
         lines += [",".join(str(r[h]) for h in header) for r in rows]
-        text = "\n".join(lines)
+        batches = ["\n".join(lines)]
     else:  # text
-        text = "\n".join(_as_text(payload))
+        batches = ["\n".join(_as_text(payload))]
     out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+        for batch in batches:
+            stream.write(batch)
+        stream.write("\n")
 
 
 def _as_text(payload, prefix="") -> list[str]:
@@ -138,10 +144,10 @@ def _as_text(payload, prefix="") -> list[str]:
     return lines
 
 
-def _spectral_class_json(sc, tol: Fraction) -> dict:
+def _spectral_class_json(sc, tol: Fraction, root=None) -> dict:
+    """The classify report; ``root`` is the largest real root when already known."""
     p = sc.polynomial
-    root = None
-    if p.degree() >= 1 and real_roots_in_interval(p, 0, cauchy_root_bound(p)) >= 1:
+    if root is None and p.degree() >= 1 and real_roots_in_interval(p, 0, cauchy_root_bound(p)) >= 1:
         root = largest_real_root(p, tol)
     return {
         "polynomial": poly_to_json(p),
@@ -183,18 +189,20 @@ def _cmd_matrix(args) -> int:
         },
         "det": str(det),
         "in_glnz": det in (1, -1),
-        "spectral_class": _spectral_class_json(classify(chi), args.tol),
     }
+    # rho is the largest real root of chi, the one the spectral class reports
+    rho = None
     try:
-        rho = spectral_radius(m, args.tol)
+        rho = spectral_radius(m, args.tol, chi=chi, primitive=report.primitive)
         payload["spectral_radius"] = rho.to_json()
         payload["normalized_spectral_radius"] = normalized_spectral_radius(
-            m, args.tol
+            m, args.tol, rho
         ).to_json()
     except ArithmeticError as exc:
         payload["spectral_radius"] = None
         payload["normalized_spectral_radius"] = None
         payload["spectral_radius_error"] = str(exc)
+    payload["spectral_class"] = _spectral_class_json(classify(chi), args.tol, rho)
     _emit(payload, args)
     return 0
 
@@ -390,8 +398,8 @@ def _repro_set_theorem(tol: Fraction) -> tuple[dict, bool]:
     lehmer9 = largest_real_root(lehmer, tol).powered(9)
     lt3 = largest_real_root(lt, tol).powered(3)
     near = (
-        abs(float(lehmer9.midpoint) - 4.311) < 1e-3
-        and abs(float(lt3.midpoint) - 5.107) < 1e-3
+        abs(lehmer9.midpoint - Fraction("4.311")) < Fraction(1, 1000)
+        and abs(lt3.midpoint - Fraction("5.107")) < Fraction(1, 1000)
     )
     checks.append(
         {

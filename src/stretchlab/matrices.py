@@ -162,21 +162,31 @@ def verify_block_structure(m: IntMatrix, split: int) -> bool:
     return True
 
 
-def spectral_radius(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
+def spectral_radius(
+    a: IntMatrix,
+    tol: Fraction = DEFAULT_TOL,
+    chi: IntPolynomial | None = None,
+    primitive: bool | None = None,
+) -> RootEnclosure:
     """Enclosure of rho(A) as the largest real root of the char polynomial.
 
     For primitive A this is Perron-Frobenius; otherwise the claim that the
     spectral radius is attained by a real eigenvalue is checked numerically
-    (tolerance 1e-9) and the call errors when it fails.
+    (tolerance 1e-9) and the call errors when it fails.  A caller that
+    already holds ``chi = char_poly(a)`` or ``is_primitive(a).primitive``
+    passes them in.
     """
-    chi = char_poly(a)
+    if chi is None:
+        chi = char_poly(a)
     try:
         enclosure = largest_real_root(chi, tol)
     except NoRealRootError as exc:
         raise PerronPreconditionError(
             "no positive real eigenvalue; spectral radius is not a real root"
         ) from exc
-    if not is_primitive(a).primitive:
+    if primitive is None:
+        primitive = is_primitive(a).primitive
+    if not primitive:
         import numpy as np
 
         moduli = abs(np.linalg.eigvals(np.array(a.rows, dtype=float)))
@@ -187,10 +197,17 @@ def spectral_radius(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     return enclosure
 
 
-def normalized_spectral_radius(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> ValueInterval:
-    """rho(A)^n by interval arithmetic, refined until the width is <= tol."""
+def normalized_spectral_radius(
+    a: IntMatrix, tol: Fraction = DEFAULT_TOL, enclosure: RootEnclosure | None = None
+) -> ValueInterval:
+    """rho(A)^n by interval arithmetic, refined until the width is <= tol.
+
+    ``enclosure`` is the result of ``spectral_radius(a)`` when the caller
+    already holds it.
+    """
     tol = Fraction(tol)
-    enclosure = spectral_radius(a, tol)
+    if enclosure is None:
+        enclosure = spectral_radius(a, tol)
     powered = enclosure.powered(a.n)
     while powered.width > tol:
         enclosure = enclosure.refined(enclosure.width / 256)

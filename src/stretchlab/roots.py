@@ -146,10 +146,25 @@ class RootEnclosure:
         return RootEnclosure(lo, hi, self.polynomial)
 
     def powered(self, n: int) -> "ValueInterval":
-        """[lo^n, hi^n]; requires a nonnegative interval."""
+        """[lo^n, hi^n] rounded outward to a dyadic grid; requires lo >= 0.
+
+        The grid step is the largest power of two <= width/256, so the result
+        still encloses every x^n for x in [lo, hi] and is at most 1/128
+        wider, while its numerators stay short: lo^n itself can run past
+        the int -> str digit limit (k = 200 of the sharpness family).
+        """
         if self.lo < 0:
             raise ValueError("powered() expects a nonnegative enclosure")
-        return ValueInterval(self.lo**n, self.hi**n)
+        lo, hi = self.lo**n, self.hi**n
+        if lo == hi:
+            return ValueInterval(lo, hi)
+        width = hi - lo
+        # 2^s >= ceil(256 / width) for the smallest s >= 0
+        scale = 1 << (-(-256 * width.denominator // width.numerator) - 1).bit_length()
+        return ValueInterval(
+            Fraction(lo.numerator * scale // lo.denominator, scale),
+            Fraction(-(-hi.numerator * scale // hi.denominator), scale),
+        )
 
     def to_json(self) -> dict:
         return {

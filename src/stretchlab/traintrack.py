@@ -360,12 +360,17 @@ def radical_elements(track: TrainTrack) -> list[tuple[int, ...]]:
     return out
 
 
-def radical(track: TrainTrack, ws: WeightSpace | None = None) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """(dimension, basis in edge coordinates) of the kernel of the skew form."""
+def radical(
+    track: TrainTrack, ws: WeightSpace | None = None, gram: GramForm | None = None
+) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """(dimension, basis in edge coordinates) of the kernel of the skew form.
+
+    ``gram`` is ``gram_form(track, ws)`` when the caller already holds it.
+    """
     ws = ws or weight_space(track)
     if ws.dim == 0:
         return 0, []
-    gram = gram_form(track, ws)
+    gram = gram or gram_form(track, ws)
     kernel_coords = _kernel_basis([list(row) for row in gram.matrix])
     basis = [ws.combine(coords) for coords in kernel_coords]
     return len(basis), basis
@@ -387,10 +392,12 @@ class RadicalReport:
     spans_equal: bool
 
 
-def radical_report(track: TrainTrack, ws: WeightSpace | None = None) -> RadicalReport:
+def radical_report(
+    track: TrainTrack, ws: WeightSpace | None = None, gram: GramForm | None = None
+) -> RadicalReport:
     """Check span{r_c} against rad(omega): containment always, equality reported."""
     ws = ws or weight_space(track)
-    dim, _ = radical(track, ws)
+    dim, _ = radical(track, ws, gram)
     elements = radical_elements(track)
     in_ws = all(satisfies_switch_conditions(track, r) for r in elements)
     in_rad = in_ws and all(
@@ -432,7 +439,7 @@ def track_report(track: TrainTrack) -> dict:
     ws = weight_space(track)
     gram = gram_form(track, ws)
     comps = boundary_components(track)
-    rep = radical_report(track, ws)
+    rep = radical_report(track, ws, gram)
     return {
         "edges": track.n_edges,
         "real_edges": len(track.real_edges()),

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polynomial, random_reciprocal, random_skew_reciprocal
 from stretchlab.classify import (
@@ -16,6 +18,7 @@ from stretchlab.classify import (
     sqrt_min_poly,
     strip_cyclotomic,
 )
+from stretchlab.families import ALL_FORMS, _form_instances, instantiate
 from stretchlab.poly import IntPolynomial, cyclotomic, cyclotomic_indices_up_to_degree, divrem
 
 P = IntPolynomial
@@ -95,6 +98,59 @@ def test_skew_up_to_cyclotomic_examples():
     assert is_skew_reciprocal_up_to_cyclotomic(P((-1, -2, 0, 1)))  # (t+1)(t^2-t-1)
     assert not is_skew_reciprocal_up_to_cyclotomic(P((-1, 1, -1, -1, 1)))
     assert not is_skew_reciprocal_up_to_cyclotomic(P((0, 1)))  # root at 0
+
+
+@st.composite
+def skew_reciprocal_polynomials(draw) -> P:
+    """Skew-reciprocal polynomials with nonzero constant term, degree 0..8."""
+    half = draw(st.integers(0, 4))
+    eps = draw(st.sampled_from((1, -1))) if half else 1
+    low = draw(st.lists(st.integers(-5, 5), min_size=half + 1, max_size=half + 1))
+    low[0] = low[0] or 1
+    coeffs = [0] * (2 * half + 1)
+    for j in range(half):
+        coeffs[j] = low[j]
+        coeffs[2 * half - j] = eps * (-1) ** j * low[j]
+    if eps * (-1) ** half == 1:
+        coeffs[half] = low[half]
+    return P(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=3), skew_reciprocal_polynomials())
+def test_parity_is_necessary_for_skew_up_to_cyclotomic(indices, skew):
+    # the lemma behind the early exit: cyclotomic x skew-reciprocal has parity
+    assert is_skew_reciprocal(skew) is not None
+    p = skew
+    for m in indices:
+        p = p * cyclotomic(m)
+    assert parity_condition(p), (indices, skew)
+    assert is_skew_reciprocal_up_to_cyclotomic(p)
+
+
+def _skew_up_to_cyclotomic_by_trial_division(p: P) -> bool:
+    if p.constant_term() == 0:
+        return False
+    core = strip_cyclotomic(p)[1]
+    return core.degree() == 0 or is_skew_reciprocal(core) is not None
+
+
+def test_predicate_matches_trial_division_definition():
+    cases = {
+        instantiate(form, n)
+        for n in range(4, 11)
+        for tag in ALL_FORMS
+        for form in _form_instances(tag, n)
+    }
+    rng = random.Random(67)
+    for _ in range(150):
+        cases.add(random_polynomial(rng, 8))
+        cofactor = random_skew_reciprocal(rng) if rng.random() < 0.5 else random_polynomial(rng, 6)
+        cases.add(cofactor * cyclotomic(rng.choice((1, 2, 3, 4, 5, 6, 8, 10, 12))))
+    assert any(_skew_up_to_cyclotomic_by_trial_division(p) for p in cases)
+    for p in cases:
+        expected = _skew_up_to_cyclotomic_by_trial_division(p)
+        assert is_skew_reciprocal_up_to_cyclotomic(p) == expected, p
 
 
 def test_parity_condition_examples():

@@ -2,14 +2,20 @@
 
 import json
 import os
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
+import stretchlab.cli
+import stretchlab.matrices
 import stretchlab.search
 import stretchlab.sharpness
 from stretchlab.cli import main
+from stretchlab.matrices import IntMatrix, normalized_spectral_radius, spectral_radius
 from stretchlab.poly import IntPolynomial
+from stretchlab.roots import RootEnclosure, ValueInterval
+from stretchlab.sharpness import expected_char_poly
 
 ENCLOSURE_SCHEMA = {
     "type": ["object", "null"],
@@ -160,6 +166,27 @@ def test_sharpness_commands(capsys):
     assert len(lines) == 4
 
 
+def _dyadic(text: str) -> Fraction:
+    num, _, power = text.partition("/2^")
+    return Fraction(int(num), 2 ** int(power or 0))
+
+
+def test_sharpness_k200_certifies_the_largest_advertised_k(capsys):
+    code, out = run_cli(capsys, "sharpness", "--k", "200")
+    assert code == 0
+    payload = json.loads(out)
+    # streamed in many batches, yet the bytes of a one-shot encoding
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lo, hi = _dyadic(payload["root"]["lo"]), _dyadic(payload["root"]["hi"])
+    low, high = _dyadic(payload["normalized"]["lo"]), _dyadic(payload["normalized"]["hi"])
+    # chi = t^400 - t^p - t^(400-p) - 1 has one sign change, hence (Descartes)
+    # exactly one positive root; a sign change on [lo, hi] encloses it
+    chi = expected_char_poly(200)
+    assert 0 < lo and chi.sign_at(lo) < 0 < chi.sign_at(hi)
+    assert low <= lo**400 and hi**400 <= high  # P_200 lies in [low, high]
+    assert low > 3 and (low - 3) ** 2 > 8  # low > 3 + 2*sqrt(2)
+
+
 def test_sharpness_table_comma_list_runs_only_listed_k(capsys):
     code, out = run_cli(capsys, "sharpness", "--table", "2,5,9")
     assert code == 0
@@ -244,6 +271,50 @@ def test_repro_thm_main_deterministic_across_threads(capsys):
     assert json.loads(out1)["pass"] is True
 
 
+def test_repro_set_theorem_decides_without_floats(monkeypatch, capsys):
+    code, expected = run_cli(capsys, "repro", "set-theorem")
+    assert code == 0
+
+    def no_float(self):
+        raise AssertionError("a float decided a certified claim")
+
+    for cls in (ValueInterval, RootEnclosure, Fraction):
+        monkeypatch.setattr(cls, "__float__", no_float)
+    assert run_cli(capsys, "repro", "set-theorem") == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0, 1, 1], [1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]],  # primitive
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0]],  # period 4
+    ],
+)
+def test_matrix_report_computes_each_quantity_once(rows, monkeypatch, capsys):
+    m = IntMatrix(rows)
+    rho = spectral_radius(m)
+    expected = {
+        "spectral_radius": rho.to_json(),
+        "normalized_spectral_radius": normalized_spectral_radius(m).to_json(),
+    }
+    calls = {"char_poly": 0, "is_primitive": 0}
+    for name in calls:
+        original = getattr(stretchlab.matrices, name)
+
+        def counted(a, name=name, original=original):
+            calls[name] += 1
+            return original(a)
+
+        monkeypatch.setattr(stretchlab.matrices, name, counted)
+        monkeypatch.setattr(stretchlab.cli, name, counted)
+    code, out = run_cli(capsys, "matrix", "--matrix", json.dumps({"rows": rows}))
+    assert code == 0
+    assert calls == {"char_poly": 1, "is_primitive": 1}
+    payload = json.loads(out)
+    assert {key: payload[key] for key in expected} == expected
+    assert payload["spectral_class"]["largest_real_root"] == rho.to_json()
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(
@@ -251,4 +322,5 @@ def test_out_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
+    assert target.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert payload["skew_reciprocal"] == -1

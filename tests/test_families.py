@@ -1,10 +1,14 @@
 """The five families: instantiation, filters, enumeration, scans, exceptions."""
 
+import importlib
+
 import pytest
 
 from stretchlab.classify import parity_condition
 from stretchlab.families import (
+    ALL_FORMS,
     FamilyForm,
+    _form_instances,
     enumerate_admissible,
     instantiate,
     monotonicity_scan,
@@ -106,6 +110,24 @@ def test_enumerate_cap():
         enumerate_admissible(18)
     with pytest.raises(ValueError):
         enumerate_admissible(1)
+
+
+def test_cyclotomic_trial_division_only_after_parity(monkeypatch):
+    candidates = {
+        instantiate(form, 16) for tag in ALL_FORMS for form in _form_instances(tag, 16)
+    }
+    passing = [p for p in candidates if p.constant_term() and parity_condition(p)]
+    assert len(passing) * 10 < len(candidates)
+    # the package's classify() function shadows the module attribute
+    classify_module = importlib.import_module("stretchlab.classify")
+    strip = classify_module.strip_cyclotomic
+    calls = []
+    monkeypatch.setattr(
+        classify_module, "strip_cyclotomic", lambda p: calls.append(p) or strip(p)
+    )
+    enumerate_admissible(16)
+    assert len(calls) <= len(passing)
+    assert all(parity_condition(p) for p in calls)
 
 
 def test_quotient_exact_examples():

@@ -44,6 +44,18 @@ def test_quartic_normalized_value():
     assert abs(float(powered) - 5.828427124746190) < 1e-9
 
 
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Fraction(1, 10**12), Fraction(1, 3)])
+@pytest.mark.parametrize("n", [1, 4, 37, 400])
+def test_powered_rounds_outward_to_a_fine_dyadic_grid(tol, n):
+    r = largest_real_root(LEHMER, tol)
+    exact_lo, exact_hi = r.lo**n, r.hi**n
+    v = r.powered(n)
+    assert v.lo <= exact_lo and exact_hi <= v.hi
+    assert v.width <= (exact_hi - exact_lo) * Fraction(129, 128)
+    for end in (v.lo, v.hi):
+        assert end.denominator & (end.denominator - 1) == 0  # a power of two
+
+
 def test_real_root_counts():
     assert real_roots_in_interval(GOLDEN, 0, 2) == 1
     assert real_roots_in_interval(P((1, 0, 1)), -10, 10) == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import stretchlab.traintrack
 from conftest import (
     all_track_fixtures,
     bigon_track,
@@ -203,6 +204,19 @@ def test_track_json_roundtrip():
         track_from_json({"vertices": [], "edges": [{"ends": [1], "kind": "real"}]})
     with pytest.raises(InvalidTrackError):
         track_from_json({})
+
+
+def test_track_report_builds_one_gram_form(monkeypatch):
+    calls = []
+    original = stretchlab.traintrack.gram_form
+    monkeypatch.setattr(
+        stretchlab.traintrack, "gram_form", lambda *args: calls.append(args) or original(*args)
+    )
+    for track in all_track_fixtures() + [polygon_track(5)]:
+        calls.clear()
+        report = track_report(track)
+        assert len(calls) == 1
+        assert report["radical_dim"] == radical(track)[0]
 
 
 def test_track_report_fields():
