@@ -15,9 +15,17 @@ Core surface:
 
 Hot kernels run through a compiled Cython core when it is built, else
 through its pure-Python twin; both produce identical output.
+
+The names below resolve on first use (PEP 562), so ``import stretchlab``
+and each CLI command load only the modules they need.  The ``classify``
+block is the exception: importing the submodule ``stretchlab.classify``
+binds the package attribute ``classify`` to the module, and importing it
+here, first, keeps ``stretchlab.classify`` the function whatever the
+import order.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+from importlib import import_module as _import_module
+
 from .classify import (
     SpectralClass,
     classify,
@@ -29,60 +37,86 @@ from .classify import (
     sqrt_min_poly,
     strip_cyclotomic,
 )
-from .curvegraph import (
-    CurveGraph,
-    SimpleCycle,
-    clique_polynomial,
-    curve_graph,
-    curve_graph_shape,
-    growth_rate,
-    simple_cycles,
-    verify_clique_identity,
-)
-from .families import (
-    AdmissibilityReport,
-    FamilyForm,
-    enumerate_admissible,
-    instantiate,
-    monotonicity_scan,
-    primitivity_compatible,
-    quotient_exact,
-    verify_low_degree_exceptions,
-)
-from .matrices import (
-    IntMatrix,
-    PrimitivityReport,
-    char_poly,
-    companion,
-    determinant,
-    in_glnz,
-    is_primitive,
-    normalized_spectral_radius,
-    spectral_radius,
-    verify_block_structure,
-)
-from .poly import IntPolynomial, cyclotomic, divrem, exact_div
-from .roots import (
-    DEFAULT_TOL,
-    RootEnclosure,
-    SturmChain,
-    ValueInterval,
-    compare_enclosures,
-    largest_real_root,
-    real_roots_in_interval,
-    silver_ratio_squared,
-    unit_circle_root_count,
-)
-from .search import SearchConfig, SearchResult, run_search, witness_check
-from .sharpness import SharpnessExample, build_example, convergence_table
-from .traintrack import (
-    TrainTrack,
-    WeightSpace,
-    boundary_components,
-    radical,
-    radical_elements,
-    thurston_form,
-    weight_space,
-)
 
 __version__ = "0.1.0"
+
+#: Submodule -> the public names the package re-exports from it on first use.
+_EXPORTS = {
+    "curvegraph": (
+        "CurveGraph",
+        "SimpleCycle",
+        "clique_polynomial",
+        "curve_graph",
+        "curve_graph_shape",
+        "growth_rate",
+        "simple_cycles",
+        "verify_clique_identity",
+    ),
+    "families": (
+        "AdmissibilityReport",
+        "FamilyForm",
+        "enumerate_admissible",
+        "instantiate",
+        "monotonicity_scan",
+        "primitivity_compatible",
+        "quotient_exact",
+        "verify_low_degree_exceptions",
+    ),
+    "matrices": (
+        "IntMatrix",
+        "PrimitivityReport",
+        "char_poly",
+        "companion",
+        "determinant",
+        "in_glnz",
+        "is_primitive",
+        "normalized_spectral_radius",
+        "spectral_radius",
+        "verify_block_structure",
+    ),
+    "poly": ("IntPolynomial", "cyclotomic", "divrem", "exact_div"),
+    "roots": (
+        "DEFAULT_TOL",
+        "RootEnclosure",
+        "SturmChain",
+        "ValueInterval",
+        "compare_enclosures",
+        "largest_real_root",
+        "real_roots_in_interval",
+        "silver_ratio_squared",
+        "unit_circle_root_count",
+    ),
+    "search": ("SearchConfig", "SearchResult", "run_search", "witness_check"),
+    "sharpness": ("SharpnessExample", "build_example", "convergence_table"),
+    "traintrack": (
+        "TrainTrack",
+        "WeightSpace",
+        "boundary_components",
+        "radical",
+        "radical_elements",
+        "thurston_form",
+        "weight_space",
+    ),
+}
+
+#: Lazily resolved public name -> (submodule, attribute).
+_LAZY = {name: (module, name) for module, names in _EXPORTS.items() for name in names}
+_LAZY["KERNEL_BACKEND"] = ("_kernels", "BACKEND")
+
+#: Submodules reachable as attributes of the package, as after an eager import.
+_SUBMODULES = {"_kernels", *_EXPORTS}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    value = getattr(_import_module(f".{module}", __name__), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_SUBMODULES})

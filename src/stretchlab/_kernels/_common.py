@@ -1,5 +1,3 @@
 """Shared pieces for the kernel backends."""
 
-
-class CapExceeded(RuntimeError):
-    """An enumeration guard (cycle cap or clique guard) was hit."""
+from ..errors import CapExceeded  # noqa: F401  (both backends import it from here)

@@ -86,7 +86,7 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     return cyclo, core
 
 
-def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial) -> bool:
+def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial, parity: bool | None = None) -> bool:
     """Whether p = (product of cyclotomics) x (skew-reciprocal polynomial).
 
     A root at 0 classifies as False.  A purely cyclotomic p counts as True
@@ -97,7 +97,8 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial) -> bool:
     of cyclotomics and S skew-reciprocal, and f* = t^deg f(1/t) for the
     reversal.  Then p* = C* S*, where C* = +-C (each Phi_m is palindromic
     up to sign) and S* = +-S(-t).  Modulo 2 both signs and t -> -t vanish,
-    so p* = p coefficientwise mod 2, which is parity_condition(p).
+    so p* = p coefficientwise mod 2, which is parity_condition(p).  A
+    caller that already holds ``parity_condition(p)`` passes it as ``parity``.
     """
     if p.is_zero():
         raise ValueError("classification of the zero polynomial")
@@ -107,7 +108,7 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial) -> bool:
     # involution t -> -1/t permutes roots of unity among themselves.
     if is_skew_reciprocal(p) is not None:
         return True
-    if not parity_condition(p):
+    if not (parity_condition(p) if parity is None else parity):
         return False
     _, core = strip_cyclotomic(p)
     if core.degree() == 0:

@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 = success, 1 = a checked mathematical property failed
-(a violation found, a bound check failed), 2 = input or parse error.
+(a violation found, a bound check failed), 2 = input or parse error or an
+exceeded budget or cap, 3 = undecided (two enclosures could not be
+separated within the refinement cap, so the check has no answer).
 Reports are schema-stable JSON (sorted keys); certified quantities always
 carry their enclosure next to the 10-significant-digit decimal.
+
+Each subcommand imports the modules it uses when it runs, so a small query
+does not pay for the search driver, ``multiprocessing`` or numpy.
 """
 
 from __future__ import annotations
@@ -16,39 +21,15 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from ._kernels import BACKEND, CapExceeded
-from .classify import classify, is_salem_like, sqrt_min_poly
-from .curvegraph import curve_graph_report
-from .families import (
-    ALL_FORMS,
-    enumerate_admissible,
-    monotonicity_scan,
-    verify_low_degree_exceptions,
-)
-from .matrices import (
-    IntMatrix,
-    char_poly,
-    is_primitive,
-    matrix_from_json,
-    normalized_spectral_radius,
-    spectral_radius,
-)
-from .poly import IntPolynomial, poly_from_json, poly_to_json
-from .roots import (
-    DEFAULT_TOL,
-    cauchy_root_bound,
-    compare_enclosures,
-    compare_power_to_silver_squared,
-    largest_real_root,
-    real_roots_in_interval,
-    silver_ratio_squared,
-    unit_circle_root_count,
-)
-from .search import BudgetExceededError, SearchConfig, run_search
-from .sharpness import build_example, convergence_table
-from .traintrack import track_from_json, track_report
+from .errors import BudgetExceededError, CapExceeded
+from .roots import DEFAULT_TOL, SeparationError
+
+if TYPE_CHECKING:
+    from .matrices import IntMatrix
+    from .poly import IntPolynomial
 
 SCOPE_NOTE = (
     "finite desk-scale verification; the underlying theorems cover all "
@@ -73,6 +54,8 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _parse_poly(value: str) -> IntPolynomial:
+    from .poly import poly_from_json
+
     data = _load_json_arg(value)
     try:
         return poly_from_json(data)
@@ -81,6 +64,8 @@ def _parse_poly(value: str) -> IntPolynomial:
 
 
 def _parse_matrix(value: str) -> IntMatrix:
+    from .matrices import matrix_from_json
+
     data = _load_json_arg(value)
     try:
         return matrix_from_json(data)
@@ -146,6 +131,9 @@ def _as_text(payload, prefix="") -> list[str]:
 
 def _spectral_class_json(sc, tol: Fraction, root=None) -> dict:
     """The classify report; ``root`` is the largest real root when already known."""
+    from .poly import poly_to_json
+    from .roots import cauchy_root_bound, largest_real_root, real_roots_in_interval
+
     p = sc.polynomial
     if root is None and p.degree() >= 1 and real_roots_in_interval(p, 0, cauchy_root_bound(p)) >= 1:
         root = largest_real_root(p, tol)
@@ -166,6 +154,8 @@ def _spectral_class_json(sc, tol: Fraction, root=None) -> dict:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify
+
     p = _parse_poly(args.poly)
     if p.is_zero():
         raise InputError("cannot classify the zero polynomial")
@@ -174,6 +164,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from .classify import classify
+    from .matrices import char_poly, is_primitive, normalized_spectral_radius, spectral_radius
+    from .poly import poly_to_json
+
     m = _parse_matrix(args.file or args.matrix)
     report = is_primitive(m)
     chi = char_poly(m)
@@ -193,7 +187,7 @@ def _cmd_matrix(args) -> int:
     # rho is the largest real root of chi, the one the spectral class reports
     rho = None
     try:
-        rho = spectral_radius(m, args.tol, chi=chi, primitive=report.primitive)
+        rho = spectral_radius(m, args.tol, chi=chi)
         payload["spectral_radius"] = rho.to_json()
         payload["normalized_spectral_radius"] = normalized_spectral_radius(
             m, args.tol, rho
@@ -208,6 +202,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_curve_graph(args) -> int:
+    from .curvegraph import curve_graph_report
+
     m = _parse_matrix(args.matrix or args.file)
     if not m.is_nonnegative():
         raise InputError("curve graphs need a nonnegative matrix")
@@ -217,6 +213,9 @@ def _cmd_curve_graph(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .families import ALL_FORMS, enumerate_admissible, monotonicity_scan
+    from .roots import compare_power_to_silver_squared, silver_ratio_squared
+
     if args.scan:
         ds = _parse_range(args.d) if args.d else None
         result = monotonicity_scan(args.scan, args.n, ds, args.tol)
@@ -263,6 +262,10 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
+    from .poly import poly_to_json
+    from .roots import silver_ratio_squared
+    from .sharpness import build_example
+
     tol = args.tol
     if args.table:
         ks = _parse_range(args.table)
@@ -297,6 +300,8 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_traintrack(args) -> int:
+    from .traintrack import track_from_json, track_report
+
     data = _load_json_arg(args.file)
     try:
         track = track_from_json(data)
@@ -313,6 +318,9 @@ def _check_threads(threads: int) -> None:
 
 
 def _cmd_search(args) -> int:
+    from .roots import silver_ratio_squared
+    from .search import SearchConfig, run_search
+
     _check_threads(args.threads)
     cfg = SearchConfig(n=args.n, max_entry=args.max_entry, tol=args.tol)
     result = run_search(cfg, threads=args.threads)
@@ -355,6 +363,10 @@ def _cmd_search(args) -> int:
 
 
 def _repro_set_theorem(tol: Fraction) -> tuple[dict, bool]:
+    from .classify import is_salem_like, sqrt_min_poly
+    from .poly import IntPolynomial
+    from .roots import compare_enclosures, largest_real_root, unit_circle_root_count
+
     checks = []
 
     mu = largest_real_root(IntPolynomial((-1, -1, 1)), tol)
@@ -413,6 +425,12 @@ def _repro_set_theorem(tol: Fraction) -> tuple[dict, bool]:
 
 
 def _repro_thm_main(tol: Fraction, threads: int) -> tuple[dict, bool]:
+    from .families import enumerate_admissible, verify_low_degree_exceptions
+    from .poly import IntPolynomial
+    from .roots import compare_enclosures, compare_power_to_silver_squared, largest_real_root
+    from .search import SearchConfig, run_search
+    from .sharpness import build_example, convergence_table
+
     checks = []
     mu = largest_real_root(IntPolynomial((-1, -1, 1)), tol)
 
@@ -497,12 +515,28 @@ def _cmd_repro(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: names the kernel backend, loaded only for this flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from ._kernels import BACKEND
+
+        print(f"{parser.prog} {__version__} ({BACKEND} kernels)")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stretch-lab",
         description="Exact spectral analysis of skew-reciprocal integer matrices.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__} ({BACKEND} kernels)")
+    parser.add_argument(
+        "--version",
+        action=_VersionAction,
+        nargs=0,
+        default=argparse.SUPPRESS,
+        help="show program's version number and exit",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -582,6 +616,10 @@ def main(argv=None) -> int:
     except (BudgetExceededError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SeparationError as exc:
+        # the certified comparison ran out of refinements: neither pass nor fail
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 3
     except ArithmeticError as exc:
         # a mathematical check could not be completed or failed outright
         print(f"check failed: {exc}", file=sys.stderr)

@@ -132,7 +132,8 @@ def admissibility_report(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> Admis
     """Run the full filter pipeline on one candidate polynomial."""
     parity = parity_condition(p)
     prim = primitivity_compatible(p)
-    skew = p.constant_term() != 0 and is_skew_reciprocal_up_to_cyclotomic(p)
+    # parity is necessary for skew up to cyclotomics (see that predicate)
+    skew = parity and p.constant_term() != 0 and is_skew_reciprocal_up_to_cyclotomic(p, parity)
     root = None
     normalized = None
     if parity and prim and skew:

@@ -163,18 +163,16 @@ def verify_block_structure(m: IntMatrix, split: int) -> bool:
 
 
 def spectral_radius(
-    a: IntMatrix,
-    tol: Fraction = DEFAULT_TOL,
-    chi: IntPolynomial | None = None,
-    primitive: bool | None = None,
+    a: IntMatrix, tol: Fraction = DEFAULT_TOL, chi: IntPolynomial | None = None
 ) -> RootEnclosure:
     """Enclosure of rho(A) as the largest real root of the char polynomial.
 
-    For primitive A this is Perron-Frobenius; otherwise the claim that the
-    spectral radius is attained by a real eigenvalue is checked numerically
-    (tolerance 1e-9) and the call errors when it fails.  A caller that
-    already holds ``chi = char_poly(a)`` or ``is_primitive(a).primitive``
-    passes them in.
+    For nonnegative A this is Perron-Frobenius: rho(A) is itself an
+    eigenvalue, so it is the largest real root of chi.  Only for a matrix
+    with a negative entry is the claim that the spectral radius is attained
+    by a real eigenvalue checked numerically (numpy, tolerance 1e-9); the
+    call errors when it fails.  A caller that already holds
+    ``chi = char_poly(a)`` passes it in.
     """
     if chi is None:
         chi = char_poly(a)
@@ -184,9 +182,7 @@ def spectral_radius(
         raise PerronPreconditionError(
             "no positive real eigenvalue; spectral radius is not a real root"
         ) from exc
-    if primitive is None:
-        primitive = is_primitive(a).primitive
-    if not primitive:
+    if not a.is_nonnegative():
         import numpy as np
 
         moduli = abs(np.linalg.eigvals(np.array(a.rows, dtype=float)))

@@ -22,6 +22,7 @@ from multiprocessing import Pool
 
 from . import _kernels
 from .classify import classify, is_skew_reciprocal_up_to_cyclotomic
+from .errors import BudgetExceededError
 from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
 from .roots import (
@@ -37,10 +38,6 @@ from .roots import (
 
 DEFAULT_BUDGET = 10**6
 BUDGET_ENV = "STRETCHLAB_BUDGET"
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested search space exceeds the configured budget."""
 
 
 def _budget() -> int:

@@ -9,6 +9,7 @@ import pytest
 
 import stretchlab.cli
 import stretchlab.matrices
+import stretchlab.roots
 import stretchlab.search
 import stretchlab.sharpness
 from stretchlab.cli import main
@@ -199,6 +200,17 @@ def test_sharpness_invariant_failure_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("check failed")
 
 
+def test_undecided_comparison_exits_3(monkeypatch, capsys):
+    def undecided(*args):
+        raise stretchlab.roots.SeparationError("enclosures neither separate nor share a certified root")
+
+    monkeypatch.setattr(stretchlab.roots, "compare_power_to_silver_squared", undecided)
+    assert main(["family", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "undecided: enclosures neither separate nor share a certified root\n"
+
+
 def test_threads_out_of_range_exits_2_before_any_pool(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool started for an out-of-range --threads")
@@ -306,7 +318,6 @@ def test_matrix_report_computes_each_quantity_once(rows, monkeypatch, capsys):
             return original(a)
 
         monkeypatch.setattr(stretchlab.matrices, name, counted)
-        monkeypatch.setattr(stretchlab.cli, name, counted)
     code, out = run_cli(capsys, "matrix", "--matrix", json.dumps({"rows": rows}))
     assert code == 0
     assert calls == {"char_poly": 1, "is_primitive": 1}

@@ -1,10 +1,12 @@
 """The five families: instantiation, filters, enumeration, scans, exceptions."""
 
 import importlib
+from collections import Counter
 
 import pytest
 
-from stretchlab.classify import parity_condition
+from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
+from stretchlab.cli import main
 from stretchlab.families import (
     ALL_FORMS,
     FamilyForm,
@@ -128,6 +130,41 @@ def test_cyclotomic_trial_division_only_after_parity(monkeypatch):
     enumerate_admissible(16)
     assert len(calls) <= len(passing)
     assert all(parity_condition(p) for p in calls)
+
+
+def test_parity_checked_once_per_candidate(monkeypatch, capsys):
+    # the package's classify() function shadows the module attribute
+    classify_module = importlib.import_module("stretchlab.classify")
+    families_module = importlib.import_module("stretchlab.families")
+    report_fn = families_module.admissibility_report
+    parity_calls = []
+    reports = []
+
+    def counted_parity(p):
+        parity_calls.append(p.coeffs)
+        return parity_condition(p)
+
+    def recorded_report(p, tol):
+        reports.append(report_fn(p, tol))
+        return reports[-1]
+
+    for module in (classify_module, families_module):
+        monkeypatch.setattr(module, "parity_condition", counted_parity)
+    monkeypatch.setattr(families_module, "admissibility_report", recorded_report)
+    assert main(["family", "--n", "16"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(reports) == 5028
+    assert Counter(parity_calls) == Counter(r.polynomial.coeffs for r in reports)
+    for r in reports:
+        p = r.polynomial
+        # the filter fields as computed before skew waited for parity
+        expected = (
+            parity_condition(p),
+            primitivity_compatible(p),
+            p.constant_term() != 0 and is_skew_reciprocal_up_to_cyclotomic(p),
+        )
+        assert (r.parity_ok, r.primitivity_compatible, r.skew_up_to_cyclotomic) == expected
 
 
 def test_quotient_exact_examples():

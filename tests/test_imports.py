@@ -1,0 +1,136 @@
+"""Import footprint and package namespace: each command loads only what it uses.
+
+Every check that depends on what is already imported runs in a fresh
+interpreter, so the test session's own imports cannot hide a regression.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stretchlab
+
+SRC = str(Path(stretchlab.__file__).resolve().parent.parent)
+
+#: The public names of the package, as exported when every submodule was imported eagerly.
+EXPORTED = (
+    "AdmissibilityReport CurveGraph DEFAULT_TOL FamilyForm IntMatrix IntPolynomial "
+    "KERNEL_BACKEND PrimitivityReport RootEnclosure SearchConfig SearchResult "
+    "SharpnessExample SimpleCycle SpectralClass SturmChain TrainTrack ValueInterval "
+    "WeightSpace _kernels boundary_components build_example char_poly classify "
+    "clique_polynomial companion compare_enclosures convergence_table curve_graph "
+    "curve_graph_shape curvegraph cyclotomic determinant divrem enumerate_admissible "
+    "exact_div families growth_rate in_glnz instantiate is_primitive is_reciprocal "
+    "is_salem_like is_skew_reciprocal is_skew_reciprocal_up_to_cyclotomic "
+    "largest_real_root matrices monotonicity_scan normalized_spectral_radius "
+    "parity_condition poly primitivity_compatible quotient_exact radical "
+    "radical_elements real_roots_in_interval roots run_search search sharpness "
+    "silver_ratio_squared simple_cycles spectral_radius sqrt_min_poly strip_cyclotomic "
+    "thurston_form traintrack unit_circle_root_count verify_block_structure "
+    "verify_clique_identity verify_low_degree_exceptions weight_space witness_check"
+).split()
+
+#: Loaded by none of `import stretchlab.cli` and a `classify` query.
+HEAVY = (
+    "numpy",
+    "multiprocessing",
+    "stretchlab.search",
+    "stretchlab.families",
+    "stretchlab.sharpness",
+    "stretchlab.traintrack",
+    "stretchlab.curvegraph",
+    "stretchlab.matrices",
+)
+
+PERIOD_4 = {"rows": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0]]}
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter; return the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_after(argv) -> set[str]:
+    """Modules in sys.modules after `import stretchlab.cli` and, if given, one query."""
+    return set(
+        fresh(
+            "import contextlib, io, json, sys\n"
+            "import stretchlab.cli\n"
+            f"argv = {argv!r}\n"
+            "if argv:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert stretchlab.cli.main(argv) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (None, HEAVY),
+        (["classify", "--poly", '{"coeffs":["-1","-2","-1","0","1"]}'], HEAVY),
+        # nonnegative, not primitive: Perron-Frobenius, so no numeric gate
+        (["matrix", "--matrix", json.dumps(PERIOD_4)], ("numpy",)),
+    ],
+    ids=["import", "classify", "matrix-period-4"],
+)
+def test_command_imports_only_what_it_uses(argv, absent):
+    assert sorted(set(absent) & loaded_after(argv)) == []
+
+
+def test_every_exported_name_resolves_lazily():
+    names = fresh(
+        "import json, stretchlab\n"
+        f"names = {EXPORTED!r}\n"
+        "missing = [n for n in names if n not in dir(stretchlab)]\n"
+        "attr = {n: type(getattr(stretchlab, n)).__name__ for n in names}\n"
+        "exec('from stretchlab import ' + ', '.join(names))\n"
+        "print(json.dumps({'missing': missing, 'types': attr}))\n"
+    )
+    assert names["missing"] == []
+    assert names["types"]["classify"] == "function"
+    assert names["types"]["matrices"] == "module"
+    assert stretchlab.KERNEL_BACKEND == stretchlab._kernels.BACKEND
+
+
+def test_classify_stays_the_function_after_a_classify_query():
+    kinds = fresh(
+        "import contextlib, io, json, inspect\n"
+        "import stretchlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    stretchlab.cli.main(['classify', '--poly', '{\"coeffs\":[\"-1\",\"-1\",\"1\"]}'])\n"
+        "from stretchlab import classify\n"
+        "import stretchlab\n"
+        "print(json.dumps([inspect.isfunction(classify), inspect.isfunction(stretchlab.classify)]))\n"
+    )
+    assert kinds == [True, True]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "_kernels",
+        "classify",
+        "cli",
+        "curvegraph",
+        "errors",
+        "families",
+        "matrices",
+        "poly",
+        "roots",
+        "search",
+        "sharpness",
+        "traintrack",
+    ],
+)
+def test_each_module_imports_on_its_own(module):
+    assert fresh(f"import json, stretchlab.{module}\nprint(json.dumps(1))") == 1

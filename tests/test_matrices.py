@@ -97,6 +97,26 @@ def test_spectral_radius_perron_errors():
         spectral_radius(IntMatrix([[1, 0, 0], [0, 0, -4], [0, 1, 0]]))
 
 
+def test_numeric_gate_runs_only_for_signed_matrices(monkeypatch):
+    eigvals = np.linalg.eigvals
+    gated = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: gated.append(a) or eigvals(a))
+    signed = IntMatrix([[1, 0, 0], [0, 0, -4], [0, 1, 0]])
+    with pytest.raises(PerronPreconditionError):
+        spectral_radius(signed)
+    assert len(gated) == 1
+    # nonnegative, not strongly connected, a Jordan block at eigenvalue 1:
+    # Perron-Frobenius alone certifies rho = 2, without the gate
+    reducible = IntMatrix([[2, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert not is_primitive(reducible).primitive
+    assert spectral_radius(reducible).to_json() == {
+        "lo": "8796093022207/2^42",
+        "hi": "8796093022209/2^42",
+        "decimal": "2",
+    }
+    assert len(gated) == 1
+
+
 def test_companion_examples_and_roundtrip():
     assert companion(P((-1, -1, 1))).rows == ((0, 1), (1, 1))
     assert char_poly(companion(P((-1, -2, 0, 1)))) == P((-1, -2, 0, 1))
