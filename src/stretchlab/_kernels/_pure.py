@@ -112,7 +112,20 @@ def determinant(rows) -> int:
 # -- digraph structure -------------------------------------------------
 
 
-def _reachable(adj: list[int], start: int, n: int) -> int:
+def _adjacency(rows, n: int) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks; edges are the nonzero entries."""
+    adj = [0] * n
+    radj = [0] * n
+    for u in range(n):
+        row = rows[u]
+        for v in range(n):
+            if row[v]:
+                adj[u] |= 1 << v
+                radj[v] |= 1 << u
+    return adj, radj
+
+
+def _reachable(adj: list[int], start: int) -> int:
     seen = 1 << start
     frontier = [start]
     while frontier:
@@ -121,98 +134,63 @@ def _reachable(adj: list[int], start: int, n: int) -> int:
             new = adj[u] & ~seen
             if new:
                 seen |= new
-                for v in range(n):
-                    if new >> v & 1:
-                        nxt.append(v)
+                while new:
+                    low = new & -new
+                    nxt.append(low.bit_length() - 1)
+                    new ^= low
         frontier = nxt
     return seen
 
 
-def _sccs(adj: list[int], n: int) -> list[list[int]]:
-    # Kosaraju: order by first DFS finish time, sweep the transpose.
-    radj = [0] * n
-    for u in range(n):
-        m = adj[u]
-        for v in range(n):
-            if m >> v & 1:
-                radj[v] |= 1 << u
-    order: list[int] = []
-    visited = 0
-    for s in range(n):
-        if visited >> s & 1:
-            continue
-        stack = [(s, 0)]
-        visited |= 1 << s
-        while stack:
-            u, v0 = stack.pop()
-            advanced = False
-            for v in range(v0, n):
-                if adj[u] >> v & 1 and not visited >> v & 1:
-                    visited |= 1 << v
-                    stack.append((u, v + 1))
-                    stack.append((v, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(u)
-    seen = 0
-    comps: list[list[int]] = []
-    for u in reversed(order):
-        if seen >> u & 1:
-            continue
-        comp_mask = _reachable(radj, u, n) & ~seen
-        # restrict to vertices not yet assigned and reachable in transpose
-        comp = [v for v in range(n) if comp_mask >> v & 1]
-        # of these only those reachable via radj through unassigned vertices
-        # matter; the classic sweep assigns the whole reachable set at once
-        seen |= comp_mask
-        comps.append(comp)
-    return comps
+def _period(adj: list[int], n: int, inside: int, root: int) -> int:
+    """gcd of the cycle lengths of the strongly connected set ``inside``.
 
-
-def _scc_period(adj: list[int], comp: list[int]) -> int:
-    inside = 0
-    for v in comp:
-        inside |= 1 << v
-    root = comp[0]
-    depth = {root: 0}
+    BFS depths from ``root``; every non-tree edge u -> v inside adds
+    depth[u] + 1 - depth[v] to the gcd.  0 if ``inside`` has no edge.
+    """
+    depth = [-1] * n
+    depth[root] = 0
     frontier = [root]
+    g = 0
     while frontier:
         nxt = []
         for u in frontier:
             m = adj[u] & inside
-            for v in comp:
-                if m >> v & 1 and v not in depth:
-                    depth[v] = depth[u] + 1
+            du = depth[u] + 1
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                if depth[v] < 0:
+                    depth[v] = du
                     nxt.append(v)
+                else:
+                    g = math.gcd(g, du - depth[v])
+                    # the fold only shrinks and gcd(1, x) = 1: 1 is final
+                    if g == 1:
+                        return 1
         frontier = nxt
-    g = 0
-    for u in comp:
-        m = adj[u] & inside
-        for v in comp:
-            if m >> v & 1:
-                g = math.gcd(g, depth[u] + 1 - depth[v])
     return g
 
 
 def digraph_structure(rows) -> tuple[bool, int]:
     """(strongly connected, gcd of all directed cycle lengths; 0 if acyclic).
 
-    Edges are the nonzero entries of the matrix.
+    Edges are the nonzero entries of the matrix.  Each strongly connected
+    component is reach(v) & coreach(v) of its lowest vertex; cycles live
+    inside components, so the gcd folds over them.
     """
     n = len(rows)
-    adj = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if rows[u][v]:
-                adj[u] |= 1 << v
-    comps = _sccs(adj, n)
-    period = 0
-    for comp in comps:
-        # cycles live inside SCCs; a singleton contributes only via a loop
-        if len(comp) > 1 or (adj[comp[0]] >> comp[0]) & 1:
-            period = math.gcd(period, _scc_period(adj, comp))
-    return len(comps) == 1, period
+    adj, radj = _adjacency(rows, n)
+    left = (1 << n) - 1
+    comps = period = 0
+    while left:
+        v = (left & -left).bit_length() - 1
+        comp = _reachable(adj, v) & _reachable(radj, v)
+        left &= ~comp
+        comps += 1
+        period = math.gcd(period, _period(adj, n, comp, v))
+    return comps == 1, period
 
 
 # -- simple cycles and clique polynomials ------------------------------
@@ -301,52 +279,23 @@ def decode_matrix(index: int, n: int, base: int) -> list[list[int]]:
     return [digits[r * n : (r + 1) * n] for r in range(n)]
 
 
-def _strongly_connected_and_aperiodic(rows, n: int) -> bool:
-    adj = [0] * n
-    radj = [0] * n
-    for u in range(n):
-        row = rows[u]
-        for v in range(n):
-            if row[v]:
-                adj[u] |= 1 << v
-                radj[v] |= 1 << u
-    full = (1 << n) - 1
-    if _reachable(adj, 0, n) != full or _reachable(radj, 0, n) != full:
-        return False
-    depth = [-1] * n
-    depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            m = adj[u]
-            for v in range(n):
-                if m >> v & 1 and depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        m = adj[u]
-        for v in range(n):
-            if m >> v & 1:
-                g = math.gcd(g, depth[u] + 1 - depth[v])
-                if g == 1:
-                    return True
-    return g == 1
-
-
 def scan_primitive_unit_det(
     n: int, max_entry: int, start: int, stop: int, require_unit_det: bool
 ) -> list[int]:
     """Indices in [start, stop) whose matrix is primitive (and |det| = 1)."""
     base = max_entry + 1
+    full = (1 << n) - 1
     out: list[int] = []
     for idx in range(start, stop):
         rows = decode_matrix(idx, n, base)
         if any(not any(row) for row in rows):
             continue
-        if not _strongly_connected_and_aperiodic(rows, n):
+        adj, radj = _adjacency(rows, n)
+        if (
+            _reachable(adj, 0) != full
+            or _reachable(radj, 0) != full
+            or _period(adj, n, full, 0) != 1
+        ):
             continue
         if require_unit_det and abs(determinant(rows)) != 1:
             continue

@@ -113,23 +113,19 @@ def cycle_classes(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP):
 def simple_cycles(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> list[SimpleCycle]:
     """All vertex-simple directed cycles, parallel edges expanded, sorted by
     (weight, vertex rotation, edge choices)."""
-    out: list[SimpleCycle] = []
-    for _, verts, _ in cycle_classes(a, cap):
+    return list(curve_graph(a, cap).cycles)
+
+
+def curve_graph(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> CurveGraph:
+    classes = tuple(cycle_classes(a, cap))
+    cycles: list[SimpleCycle] = []
+    for _, verts, _ in classes:
         ranges = [
             range(a.rows[verts[i]][verts[(i + 1) % len(verts)]])
             for i in range(len(verts))
         ]
-        for choice in itertools.product(*ranges):
-            out.append(SimpleCycle(verts, choice))
-    return out
-
-
-def curve_graph(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> CurveGraph:
-    return CurveGraph(
-        n=a.n,
-        cycles=tuple(simple_cycles(a, cap)),
-        classes=tuple(cycle_classes(a, cap)),
-    )
+        cycles.extend(SimpleCycle(verts, choice) for choice in itertools.product(*ranges))
+    return CurveGraph(n=a.n, cycles=tuple(cycles), classes=classes)
 
 
 def clique_polynomial(
@@ -159,7 +155,10 @@ def growth_rate(g: CurveGraph, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     the certificate is a plain largest-root enclosure.  Errors when Q has no
     root in (0, 1).
     """
-    q = clique_polynomial(g)
+    return _growth_rate(clique_polynomial(g), tol)
+
+
+def _growth_rate(q: IntPolynomial, tol: Fraction) -> RootEnclosure:
     rev = q.reverse()  # q(0) = 1, so this preserves the degree
     if rev.degree() < 1:
         raise GrowthRateError("no cycles: growth rate undefined")
@@ -199,10 +198,10 @@ def curve_graph_report(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> dict:
     """Everything the curve-graph CLI emits, computed once."""
     g = curve_graph(a)
     q = clique_polynomial(g)
+    chi = char_poly(a)
     shape = curve_graph_shape(g)
-    identity_ok = verify_clique_identity(a)
     try:
-        growth = growth_rate(g, tol)
+        growth = _growth_rate(q, tol)
     except GrowthRateError:
         growth = None
     return {
@@ -214,8 +213,9 @@ def curve_graph_report(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> dict:
         "weights": list(g.weights()),
         "edges": [list(e) for e in g.edges()],
         "clique_poly": [str(c) for c in q.coeffs],
-        "char_poly": [str(c) for c in char_poly(a).coeffs],
+        "char_poly": [str(c) for c in chi.coeffs],
         "growth_rate": growth.to_json() if growth else None,
         "shape": {"kind": shape.kind, "weights": list(shape.weights)},
-        "identity_ok": identity_ok,
+        # Q(t) = t^n chi(1/t), the check verify_clique_identity makes
+        "identity_ok": q == chi.reverse(),
     }

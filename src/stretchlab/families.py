@@ -41,7 +41,7 @@ from .roots import (
 
 A_ONE_SIZES = {"2A1": 2, "3A1": 3, "4A1": 4, "5A1": 5}
 ALL_FORMS = ("2A1", "3A1", "4A1", "5A1", "AStar2")
-DEFAULT_DEGREE_CAP = 16
+DEGREE_CAP = 16
 
 # re-exported here because the case analyses quote exact quotients R(t)
 quotient_exact = exact_div
@@ -173,14 +173,13 @@ def enumerate_admissible(
     n: int,
     forms=ALL_FORMS,
     tol: Fraction = DEFAULT_TOL,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> list[AdmissibilityReport]:
     """Admissible candidates over the requested forms at degree n,
     deduplicated by polynomial, sorted by normalized largest root."""
     if n < 2:
         raise ValueError("enumeration needs degree >= 2")
-    if n > degree_cap:
-        raise ValueError(f"degree {n} exceeds the enumeration cap {degree_cap}")
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds the enumeration cap {DEGREE_CAP}")
     seen: set[tuple[int, ...]] = set()
     reports: list[AdmissibilityReport] = []
     for tag in forms:

@@ -29,6 +29,13 @@ DEFAULT_TOL = Fraction(1, 2**40)
 #: t^2 - 6t + 1; its larger root is the squared silver ratio 3 + 2*sqrt(2).
 SILVER_SQUARED_POLY = IntPolynomial((1, -6, 1))
 
+#: Refinement cap of ``compare_enclosures``, and the width factor per round.
+COMPARE_ROUNDS = 10
+COMPARE_SHRINK = Fraction(1, 256)
+
+#: Refinement cap of ``compare_power_to_silver_squared``.
+SILVER_COMPARE_ROUNDS = 12
+
 
 class NoRealRootError(ArithmeticError):
     """The polynomial has no real root in the requested range."""
@@ -204,9 +211,9 @@ class ValueInterval:
 
 
 def _collapse_exact_root(
-    sf: IntPolynomial, root: Fraction, lo: Fraction, hi: Fraction, tol: Fraction
+    root: Fraction, lo: Fraction, hi: Fraction, tol: Fraction
 ) -> tuple[Fraction, Fraction]:
-    # root is a dyadic zero of sf strictly inside (lo, hi); keep a sign change.
+    # root is an exact dyadic zero strictly inside (lo, hi); keep a sign change.
     delta = tol / 4
     new_lo = max(lo, root - delta)
     new_hi = min(hi, root + delta)
@@ -219,14 +226,14 @@ def _sign_bisect(
     s_lo = sf.sign_at(lo)
     s_hi = sf.sign_at(hi)
     if s_hi == 0:
-        return _collapse_exact_root(sf, hi, lo, hi + tol / 4, tol)
+        return _collapse_exact_root(hi, lo, hi + tol / 4, tol)
     if s_lo == 0 or s_lo == s_hi:
         raise AssertionError("enclosure lost its sign change; this is a bug")
     while hi - lo > tol:
         m = (lo + hi) / 2
         sm = sf.sign_at(m)
         if sm == 0:
-            return _collapse_exact_root(sf, m, lo, hi, tol)
+            return _collapse_exact_root(m, lo, hi, tol)
         if sm == s_lo:
             lo = m
         else:
@@ -269,12 +276,7 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEncl
     return RootEnclosure(lo, hi, sf)
 
 
-def compare_enclosures(
-    e1: RootEnclosure,
-    e2: RootEnclosure,
-    max_rounds: int = 10,
-    shrink: Fraction = Fraction(1, 256),
-) -> int:
+def compare_enclosures(e1: RootEnclosure, e2: RootEnclosure) -> int:
     """-1, 0, +1 ordering of the two enclosed roots, exactly.
 
     Disjoint intervals decide the order; equality is certified by finding a
@@ -282,7 +284,7 @@ def compare_enclosures(
     SeparationError if neither resolves within the refinement cap.
     """
     a, b = e1, e2
-    for _ in range(max_rounds + 1):
+    for _ in range(COMPARE_ROUNDS + 1):
         if a.hi < b.lo:
             return -1
         if b.hi < a.lo:
@@ -293,7 +295,7 @@ def compare_enclosures(
             hi = min(a.hi, b.hi)
             if lo < hi and real_roots_in_interval(g, lo, hi) >= 1:
                 return 0
-        tol = min(a.width, b.width) * shrink
+        tol = min(a.width, b.width) * COMPARE_SHRINK
         a = a.refined(tol)
         b = b.refined(tol)
     raise SeparationError("enclosures neither separate nor share a certified root")
@@ -304,9 +306,7 @@ def silver_ratio_squared(tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     return largest_real_root(SILVER_SQUARED_POLY, tol)
 
 
-def compare_power_to_silver_squared(
-    base: RootEnclosure, exponent: int, max_rounds: int = 12
-) -> int:
+def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:
     """-1, 0, +1 for base^exponent against 3 + 2*sqrt(2), exactly.
 
     Values exactly on the threshold (the enclosed root is a root of
@@ -332,7 +332,7 @@ def compare_power_to_silver_squared(
         return 0 if b.lo > 1 else -1
     threshold = silver_ratio_squared()
     b = base
-    for _ in range(max_rounds + 1):
+    for _ in range(SILVER_COMPARE_ROUNDS + 1):
         powered = b.powered(exponent)
         if powered.hi < threshold.lo:
             return -1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
+from .classify import is_skew_reciprocal_up_to_cyclotomic
 from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
 from .roots import (
@@ -92,8 +92,6 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
         raise SharpnessInvariantError(f"matrix not primitive at k={k}")
     if not is_skew_reciprocal_up_to_cyclotomic(chi):
         raise SharpnessInvariantError(f"char poly not skew-up-to-cyclotomic at k={k}")
-    if not parity_condition(chi):
-        raise SharpnessInvariantError(f"parity condition fails at k={k}")
     root = largest_real_root(chi, tol)
     if not exceeds_silver_squared(root, 2 * k):
         raise SharpnessInvariantError(f"P_{k} does not exceed the silver bound")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -64,6 +65,22 @@ class TrainTrack:
     def infinitesimal_edges(self) -> list[int]:
         return [i for i, e in enumerate(self.edges) if e.kind == "inf"]
 
+    # Derived once per track; the dataclass is frozen, so they never go stale.
+    @cached_property
+    def _geometry(self) -> _Geometry:
+        return _Geometry(self)
+
+    @cached_property
+    def _weight_space(self) -> WeightSpace:
+        if not self.vertices:
+            return WeightSpace(self, ())
+        return WeightSpace(self, tuple(_kernel_basis(switch_matrix(self))))
+
+    @cached_property
+    def _gram(self) -> GramForm:
+        basis = self._weight_space.basis
+        return GramForm(tuple(tuple(_omega(self, v, u) for u in basis) for v in basis))
+
 
 def _validate(track: TrainTrack) -> None:
     from_edges: list[int] = []
@@ -88,10 +105,9 @@ def _validate(track: TrainTrack) -> None:
 
 
 class _Geometry:
-    """Derived lookups: half-edge -> edge / vertex / side / rotation."""
+    """Derived lookups: half-edge -> edge / mate / side / rotation."""
 
     def __init__(self, track: TrainTrack):
-        self.track = track
         self.edge_of: dict[int, int] = {}
         self.mate: dict[int, int] = {}
         for i, e in enumerate(track.edges):
@@ -99,15 +115,12 @@ class _Geometry:
             self.edge_of[h1] = self.edge_of[h2] = i
             self.mate[h1] = h2
             self.mate[h2] = h1
-        self.vertex_of: dict[int, int] = {}
         self.side_of: dict[int, int] = {}  # 0 = side_a, 1 = side_b
         self.rotation_next: dict[int, int] = {}
-        for vi, v in enumerate(track.vertices):
+        for v in track.vertices:
             for h in v.side_a:
-                self.vertex_of[h] = vi
                 self.side_of[h] = 0
             for h in v.side_b:
-                self.vertex_of[h] = vi
                 self.side_of[h] = 1
             # counterclockwise rotation: side_a right-to-left, side_b left-to-right
             rotation = tuple(reversed(v.side_a)) + v.side_b
@@ -142,12 +155,12 @@ def is_standardly_embedded(track: TrainTrack) -> bool:
 def switch_matrix(track: TrainTrack) -> list[list[int]]:
     """Rows = vertices; entry = (#halves of e on side_a) - (#on side_b)."""
     m = [[0] * track.n_edges for _ in track.vertices]
-    geom = _Geometry(track)
+    edge_of = track._geometry.edge_of
     for vi, v in enumerate(track.vertices):
         for h in v.side_a:
-            m[vi][geom.edge_of[h]] += 1
+            m[vi][edge_of[h]] += 1
         for h in v.side_b:
-            m[vi][geom.edge_of[h]] -= 1
+            m[vi][edge_of[h]] -= 1
     return m
 
 
@@ -221,9 +234,7 @@ def satisfies_switch_conditions(track: TrainTrack, w: Sequence) -> bool:
 
 def weight_space(track: TrainTrack) -> WeightSpace:
     """ker of the switch-condition map, as an exact rational basis."""
-    if not track.vertices:
-        return WeightSpace(track, ())
-    return WeightSpace(track, tuple(_kernel_basis(switch_matrix(track))))
+    return track._weight_space
 
 
 # -- the skew bilinear form ---------------------------------------------
@@ -236,13 +247,18 @@ def thurston_form(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
         track, w2
     ):
         raise ValueError("both weight vectors must satisfy the switch conditions")
-    geom = _Geometry(track)
+    return _omega(track, w, w2)
+
+
+def _omega(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
+    """``thurston_form`` without the switch-condition checks."""
+    edge_of = track._geometry.edge_of
     total = Fraction(0)
     for v in track.vertices:
         for side in (v.side_a, v.side_b):
-            for i, j in itertools.combinations(range(len(side)), 2):
-                e1 = geom.edge_of[side[i]]
-                e2 = geom.edge_of[side[j]]
+            for h1, h2 in itertools.combinations(side, 2):
+                e1 = edge_of[h1]
+                e2 = edge_of[h2]
                 total += Fraction(w[e1]) * Fraction(w2[e2]) - Fraction(w[e2]) * Fraction(w2[e1])
     return total
 
@@ -265,12 +281,8 @@ class GramForm:
         )
 
 
-def gram_form(track: TrainTrack, ws: WeightSpace | None = None) -> GramForm:
-    ws = ws or weight_space(track)
-    rows = []
-    for v in ws.basis:
-        rows.append(tuple(thurston_form(track, v, u) for u in ws.basis))
-    return GramForm(tuple(rows))
+def gram_form(track: TrainTrack) -> GramForm:
+    return track._gram
 
 
 # -- boundary components --------------------------------------------
@@ -296,7 +308,7 @@ class BoundaryComponent:
 
 
 def boundary_components(track: TrainTrack) -> tuple[BoundaryComponent, ...]:
-    geom = _Geometry(track)
+    geom = track._geometry
     step = {h: geom.rotation_next[geom.mate[h]] for h in geom.mate}
     seen: set[int] = set()
     comps = []
@@ -332,7 +344,7 @@ def radical_element(track: TrainTrack, component: BoundaryComponent) -> tuple[in
     n = component.cusps
     if n == 0 or n % 2:
         raise ValueError("radical elements need an even, positive cusp count")
-    geom = _Geometry(track)
+    edge_of = track._geometry.edge_of
     weights = [0] * track.n_edges
     positions = list(component.cusp_positions)
     length = len(component.walk)
@@ -341,7 +353,7 @@ def radical_element(track: TrainTrack, component: BoundaryComponent) -> tuple[in
         i = start
         sign = (-1) ** k
         while True:
-            weights[geom.edge_of[component.walk[i]]] += sign
+            weights[edge_of[component.walk[i]]] += sign
             i = (i + 1) % length
             if i == end:
                 break
@@ -360,18 +372,12 @@ def radical_elements(track: TrainTrack) -> list[tuple[int, ...]]:
     return out
 
 
-def radical(
-    track: TrainTrack, ws: WeightSpace | None = None, gram: GramForm | None = None
-) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """(dimension, basis in edge coordinates) of the kernel of the skew form.
-
-    ``gram`` is ``gram_form(track, ws)`` when the caller already holds it.
-    """
-    ws = ws or weight_space(track)
+def radical(track: TrainTrack) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """(dimension, basis in edge coordinates) of the kernel of the skew form."""
+    ws = track._weight_space
     if ws.dim == 0:
         return 0, []
-    gram = gram or gram_form(track, ws)
-    kernel_coords = _kernel_basis([list(row) for row in gram.matrix])
+    kernel_coords = _kernel_basis([list(row) for row in track._gram.matrix])
     basis = [ws.combine(coords) for coords in kernel_coords]
     return len(basis), basis
 
@@ -392,17 +398,13 @@ class RadicalReport:
     spans_equal: bool
 
 
-def radical_report(
-    track: TrainTrack, ws: WeightSpace | None = None, gram: GramForm | None = None
-) -> RadicalReport:
+def radical_report(track: TrainTrack) -> RadicalReport:
     """Check span{r_c} against rad(omega): containment always, equality reported."""
-    ws = ws or weight_space(track)
-    dim, _ = radical(track, ws, gram)
+    dim, _ = radical(track)
     elements = radical_elements(track)
     in_ws = all(satisfies_switch_conditions(track, r) for r in elements)
-    in_rad = in_ws and all(
-        all(thurston_form(track, r, b) == 0 for b in ws.basis) for r in elements
-    )
+    basis = track._weight_space.basis
+    in_rad = in_ws and all(all(_omega(track, r, b) == 0 for b in basis) for r in elements)
     span_rank = _rank([tuple(map(Fraction, r)) for r in elements])
     return RadicalReport(
         dimension=dim,
@@ -437,9 +439,9 @@ def track_from_json(data: dict) -> TrainTrack:
 def track_report(track: TrainTrack) -> dict:
     """Everything the traintrack CLI emits."""
     ws = weight_space(track)
-    gram = gram_form(track, ws)
+    gram = gram_form(track)
     comps = boundary_components(track)
-    rep = radical_report(track, ws, gram)
+    rep = radical_report(track)
     return {
         "edges": track.n_edges,
         "real_edges": len(track.real_edges()),

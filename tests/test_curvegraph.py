@@ -10,6 +10,7 @@ from stretchlab.curvegraph import (
     MultiDigraph,
     clique_polynomial,
     curve_graph,
+    curve_graph_report,
     curve_graph_shape,
     growth_rate,
     simple_cycles,
@@ -162,3 +163,38 @@ def test_negative_matrix_rejected():
         simple_cycles(IntMatrix([[-1]]))
     with pytest.raises(ValueError):
         verify_clique_identity(IntMatrix([[-1]]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1], [1, 0]],
+        [[0, 0, 1, 1], [1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]],
+        [[0, 2, 0], [0, 0, 3], [1, 0, 1]],
+        [[0]],  # no cycles, no growth rate
+    ],
+)
+def test_curve_graph_report_computes_each_quantity_once(rows, monkeypatch):
+    import stretchlab._kernels
+
+    m = IntMatrix(rows)
+    identity = verify_clique_identity(m)
+    names = ("simple_cycle_classes", "clique_polynomial_from_classes", "charpoly",
+             "clique_identity_holds")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(stretchlab._kernels, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(stretchlab._kernels, name, counted)
+    report = curve_graph_report(m)
+    assert calls == {
+        "simple_cycle_classes": 1,
+        "clique_polynomial_from_classes": 1,
+        "charpoly": 1,
+        "clique_identity_holds": 0,
+    }
+    assert report["identity_ok"] is identity is True

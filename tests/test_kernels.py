@@ -5,6 +5,7 @@ import random
 import pytest
 
 from stretchlab._kernels import BACKEND, CapExceeded, _pure
+from stretchlab.matrices import IntMatrix, wielandt_positive
 
 try:
     from stretchlab._kernels import _speedups
@@ -86,6 +87,45 @@ def test_decode_matrix_is_lexicographic():
     ]
     assert decoded == sorted(decoded)
     assert len(set(decoded)) == len(decoded)
+
+
+def _scan_keeps(rows) -> bool:
+    """The scan's filter without the determinant: no zero line, primitive."""
+    no_zero_line = all(any(row) for row in rows) and all(any(col) for col in zip(*rows))
+    primitive = no_zero_line and _pure.digraph_structure(rows) == (True, 1)
+    assert primitive == wielandt_positive(IntMatrix(rows)), rows
+    return primitive
+
+
+def test_pure_scan_filter_on_full_small_spaces():
+    for n, max_entry in ((1, 1), (2, 1), (3, 1), (2, 2)):
+        base = max_entry + 1
+        total = base ** (n * n)
+        expected = [i for i in range(total) if _scan_keeps(_pure.decode_matrix(i, n, base))]
+        assert expected
+        assert _pure.scan_primitive_unit_det(n, max_entry, 0, total, False) == expected
+
+
+def test_pure_scan_filter_on_random_matrices():
+    rng = random.Random(404)
+    kept = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        max_entry = rng.randint(1, 2)
+        density = rng.uniform(0.1, 0.6)
+        rows = [
+            [rng.randint(1, max_entry) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        index = 0
+        for entry in (e for row in rows for e in row):
+            index = index * (max_entry + 1) + entry
+        assert _pure.decode_matrix(index, n, max_entry + 1) == rows
+        keep = _scan_keeps(rows)
+        kept += keep
+        scanned = _pure.scan_primitive_unit_det(n, max_entry, index, index + 1, False)
+        assert scanned == ([index] if keep else []), rows
+    assert 0 < kept < 300
 
 
 def test_digraph_structure_known_values():

@@ -10,6 +10,7 @@ from conftest import random_polynomial
 from stretchlab._kernels import _pure
 from stretchlab.poly import IntPolynomial
 from stretchlab.roots import real_roots_in_interval, unit_circle_root_count
+from stretchlab.sharpness import build_matrix
 
 P = IntPolynomial
 
@@ -45,9 +46,13 @@ def test_unit_circle_count_with_non_reciprocal_cofactor():
 
 def test_digraph_structure_against_networkx():
     rng = random.Random(77)
+    cases = []
     for _ in range(150):
         n = rng.randint(1, 6)
-        rows = [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(n)]
+        cases.append([[int(rng.random() < 0.4) for _ in range(n)] for _ in range(n)])
+    cases += [build_matrix(k).rows for k in range(2, 9)]
+    for rows in cases:
+        n = len(rows)
         g = nx.DiGraph()
         g.add_nodes_from(range(n))
         for i in range(n):
