@@ -1,52 +1,31 @@
 #!/usr/bin/env python3
-"""Time the hot kernels: the pure-Python twin, and the compiled module when built.
+"""Time the hot kernels, and the orbit search beside a brute-force reference.
 
-Runs the same workloads through every available backend and prints a table
-of timings, with a speedup column when the compiled module imports.  The
-outputs are asserted equal along the way, so with both backends this
-doubles as a coarse differential check.
+The search rows time ``run_search`` (one matrix per orbit of
+S_n x <transpose>) and the test suite's brute-force reference, which decodes
+and filters every matrix of the slice; their results are asserted equal.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
-from stretchlab._kernels import _pure
+from stretchlab import _kernels
+from stretchlab.search import SearchConfig, run_search
 from stretchlab.sharpness import build_matrix
 
-try:
-    from stretchlab._kernels import _speedups
-except ImportError:
-    _speedups = None
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from search_reference import brute_force_search  # noqa: E402
 
 
 def timed(fn):
     start = time.perf_counter()
     out = fn()
     return time.perf_counter() - start, out
-
-
-def bench_charpoly(impl, matrices):
-    return [impl.charpoly(rows) for rows in matrices]
-
-
-def bench_scan(impl, n, max_entry):
-    total = (max_entry + 1) ** (n * n)
-    return impl.scan_primitive_unit_det(n, max_entry, 0, total, True)
-
-
-def bench_clique_identity(impl, matrices):
-    return [impl.clique_identity_holds(rows, 10**5, 10**6) for rows in matrices]
-
-
-def bench_cycles(impl, matrices):
-    return [impl.simple_cycle_classes(rows, 10**5) for rows in matrices]
-
-
-def bench_digraph(impl, matrices):
-    return [impl.digraph_structure(rows) for rows in matrices]
 
 
 def main():
@@ -69,29 +48,38 @@ def main():
     ]
     sharpness_mats = [build_matrix(k).rows for k in (50, 100, 150, 200)]
 
-    workloads = [
-        (f"charpoly 5x5 x{n_mats}", lambda i: bench_charpoly(i, charpoly_mats)),
-        ("scan n=3 entries<=1 (512)", lambda i: bench_scan(i, 3, 1)),
-        ("scan n=4 entries<=1 (65536)", lambda i: bench_scan(i, 4, 1)),
-        (f"clique identity 4x4 x{len(clique_mats)}", lambda i: bench_clique_identity(i, clique_mats)),
-        (f"cycle classes 4x4 x{len(clique_mats)}", lambda i: bench_cycles(i, clique_mats)),
-        (f"digraph structure 6x6 x{n_mats}", lambda i: bench_digraph(i, digraph_mats)),
-        ("digraph structure sharpness k=50..200", lambda i: bench_digraph(i, sharpness_mats)),
+    kernels = [
+        (f"charpoly 5x5 x{n_mats}", lambda: [_kernels.charpoly(r) for r in charpoly_mats]),
+        (
+            f"clique identity 4x4 x{len(clique_mats)}",
+            lambda: [_kernels.clique_identity_holds(r, 10**5, 10**6) for r in clique_mats],
+        ),
+        (
+            f"cycle classes 4x4 x{len(clique_mats)}",
+            lambda: [_kernels.simple_cycle_classes(r, 10**5) for r in clique_mats],
+        ),
+        (
+            f"digraph structure 6x6 x{n_mats}",
+            lambda: [_kernels.digraph_structure(r) for r in digraph_mats],
+        ),
+        (
+            "digraph structure sharpness k=50..200",
+            lambda: [_kernels.digraph_structure(r) for r in sharpness_mats],
+        ),
     ]
+    print(f"{'kernel':<38} {'time':>10}")
+    for name, job in kernels:
+        print(f"{name:<38} {timed(job)[0]:>9.3f}s")
 
-    if _speedups is None:
-        print("compiled kernels not built; timing the pure backend alone")
-        print(f"{'workload':<38} {'pure':>10}")
-    else:
-        print(f"{'workload':<38} {'pure':>10} {'compiled':>10} {'speedup':>9}")
-    for name, job in workloads:
-        t_pure, out_pure = timed(lambda: job(_pure))
-        if _speedups is None:
-            print(f"{name:<38} {t_pure:>9.3f}s")
-            continue
-        t_fast, out_fast = timed(lambda: job(_speedups))
-        assert out_pure == out_fast, f"backend mismatch in {name}"
-        print(f"{name:<38} {t_pure:>9.3f}s {t_fast:>9.3f}s {t_pure / t_fast:>8.1f}x")
+    slices = [(3, 1), (3, 2)] if args.quick else [(3, 1), (3, 2), (4, 1)]
+    print(f"\n{'search':<38} {'orbits':>10} {'brute':>10} {'ratio':>9}")
+    for n, max_entry in slices:
+        cfg = SearchConfig(n=n, max_entry=max_entry)
+        t_orbit, orbit = timed(lambda: run_search(cfg))
+        t_brute, brute = timed(lambda: brute_force_search(cfg))
+        assert orbit == brute, f"orbit search differs from brute force on {cfg}"
+        name = f"n={n} entries<={max_entry} ({cfg.space_size})"
+        print(f"{name:<38} {t_orbit:>9.3f}s {t_brute:>9.3f}s {t_brute / t_orbit:>8.1f}x")
     return 0
 
 

@@ -13,8 +13,8 @@ Core surface:
   form on their weight space
 - :mod:`stretchlab.search`     exhaustive matrix searches against the bound
 
-Hot kernels run through a compiled Cython core when it is built, else
-through its pure-Python twin; both produce identical output.
+The hot kernels (char poly, digraph structure, cycles, cliques and the
+orbit scan of the search) live in the pure-Python module ``_kernels``.
 
 The names below resolve on first use (PEP 562), so ``import stretchlab``
 and each CLI command load only the modules they need.  The ``classify``
@@ -101,7 +101,6 @@ _EXPORTS = {
 
 #: Lazily resolved public name -> (submodule, attribute).
 _LAZY = {name: (module, name) for module, names in _EXPORTS.items() for name in names}
-_LAZY["KERNEL_BACKEND"] = ("_kernels", "BACKEND")
 
 #: Submodules reachable as attributes of the package, as after an eager import.
 _SUBMODULES = {"_kernels", *_EXPORTS}

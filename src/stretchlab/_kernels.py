@@ -1,17 +1,40 @@
-"""Pure-Python kernels: the reference semantics for the compiled twin.
+"""Hot kernels: characteristic polynomials, digraph structure, cycles, cliques
+and the orbit scan behind the exhaustive search.
 
 All functions take plain nested sequences of Python ints and return plain
-ints/tuples, so the two backends are interchangeable.  Everything is exact;
-the compiled module speeds these up without changing a single output.
+ints and tuples.  Everything is exact.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
+from itertools import permutations, product
+from operator import itemgetter
 
-from ._common import CapExceeded
+from .errors import CapExceeded
 
+#: Read by the benchmark's start-up probe and printed by ``--version``;
+#: pure Python is the only backend.
 BACKEND = "pure"
+
+#: The public kernels; the benchmark's per-layer tracer wraps the names listed here.
+__all__ = [
+    "BACKEND",
+    "CapExceeded",
+    "charpoly",
+    "determinant",
+    "digraph_structure",
+    "simple_cycle_classes",
+    "clique_polynomial_from_classes",
+    "clique_identity_holds",
+    "decode_matrix",
+    "primitive_unit_det_charpoly",
+    "canonical_codes",
+    "scan_orbits",
+    "code_rows",
+    "orbit_indices",
+]
 
 
 # -- characteristic polynomial ----------------------------------------
@@ -267,7 +290,19 @@ def clique_identity_holds(rows, cap: int, guard: int) -> bool:
     return all(q[i] == chi[n - i] for i in range(n + 1))
 
 
-# -- exhaustive search scan --------------------------------------------
+# -- exhaustive search: one matrix per orbit ----------------------------
+#
+# The search filter and the char poly are invariant under A -> P A P^T and
+# A -> A^T, so the search visits one matrix per orbit of S_n x <transpose>,
+# by orderly generation (Read, "Every one a winner", Ann. Discrete Math. 2,
+# 1978; McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+# The *code* of a k x k matrix lists its entries vertex by vertex: a[v][v],
+# then the pairs (a[v][j], a[j][v]) for j < v.  So every leading principal
+# submatrix is a prefix of the code, and the transpose swaps within each
+# pair.  A code is canonical when no image has a larger code.  Canonicity is
+# hereditary: an image of the prefix that beats it extends, fixing the new
+# vertex, to an image of the whole that beats it.  So the canonical k-codes
+# are exactly the canonical extensions of the canonical (k-1)-codes.
 
 
 def decode_matrix(index: int, n: int, base: int) -> list[list[int]]:
@@ -279,25 +314,113 @@ def decode_matrix(index: int, n: int, base: int) -> list[list[int]]:
     return [digits[r * n : (r + 1) * n] for r in range(n)]
 
 
-def scan_primitive_unit_det(
-    n: int, max_entry: int, start: int, stop: int, require_unit_det: bool
-) -> list[int]:
-    """Indices in [start, stop) whose matrix is primitive (and |det| = 1)."""
-    base = max_entry + 1
+def primitive_unit_det_charpoly(rows) -> tuple[int, ...] | None:
+    """The char poly of a primitive matrix with |det| = 1, else None.
+
+    The search filter: no zero row, strongly connected with period 1, and
+    a Bareiss |det| of 1, which is cheaper than the char poly it spares.
+    """
+    n = len(rows)
+    if not all(any(row) for row in rows):
+        return None
     full = (1 << n) - 1
-    out: list[int] = []
-    for idx in range(start, stop):
-        rows = decode_matrix(idx, n, base)
-        if any(not any(row) for row in rows):
-            continue
-        adj, radj = _adjacency(rows, n)
-        if (
-            _reachable(adj, 0) != full
-            or _reachable(radj, 0) != full
-            or _period(adj, n, full, 0) != 1
-        ):
-            continue
-        if require_unit_det and abs(determinant(rows)) != 1:
-            continue
-        out.append(idx)
+    adj, radj = _adjacency(rows, n)
+    if (
+        _reachable(adj, 0) != full
+        or _reachable(radj, 0) != full
+        or _period(adj, n, full, 0) != 1
+    ):
+        return None
+    return charpoly(rows) if abs(determinant(rows)) == 1 else None
+
+
+def _position(i: int, j: int) -> int:
+    """Where entry (i, j) sits in a code."""
+    if i == j:
+        return i * i
+    if i > j:
+        return i * i + 1 + 2 * j
+    return j * j + 2 + 2 * i
+
+
+def _getter(positions: tuple[int, ...]):
+    if len(positions) == 1:  # itemgetter(p) returns the item, not a 1-tuple
+        p = positions[0]
+        return lambda code: (code[p],)
+    return itemgetter(*positions)
+
+
+@cache
+def _symmetries(k: int) -> tuple[list, list]:
+    """Getters for the images of a k x k code under S_k x <transpose>.
+
+    The first list maps a code to the code of each non-identity image, for
+    the canonicity test; the second maps it to the row-major entries of every
+    image, the identity first.
+    """
+    cells = []  # code order
+    for v in range(k):
+        cells.append((v, v))
+        for j in range(v):
+            cells += [(v, j), (j, v)]
+    row_major = [(i, j) for i in range(k) for j in range(k)]
+    # image (perm, flip): entry (i, j) is a[perm[i]][perm[j]], transposed if flip
+    sources = [
+        {
+            (i, j): _position(perm[j], perm[i]) if flip else _position(perm[i], perm[j])
+            for i, j in row_major
+        }
+        for perm in permutations(range(k))
+        for flip in (False, True)
+    ]
+    codes = {tuple(src[c] for c in cells) for src in sources} - {tuple(range(k * k))}
+    rows = dict.fromkeys(tuple(src[c] for c in row_major) for src in sources)
+    return [_getter(c) for c in sorted(codes)], [_getter(r) for r in rows]
+
+
+def canonical_codes(n: int, max_entry: int) -> list[tuple[int, ...]]:
+    """The canonical code of every orbit of n x n matrices over 0..max_entry."""
+    codes: list[tuple[int, ...]] = [()]
+    for k in range(1, n + 1):
+        codes = _canonical_extensions(codes, k, max_entry + 1)
+    return codes
+
+
+def _canonical_extensions(parents, k: int, base: int) -> list[tuple[int, ...]]:
+    images = _symmetries(k)[0]
+    tails = list(product(range(base), repeat=2 * k - 1))
+    out = []
+    for parent in parents:
+        for tail in tails:
+            code = parent + tail
+            if not any(image(code) > code for image in images):
+                out.append(code)
+    return out
+
+
+def code_rows(code: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """The rows of the n x n matrix with this code."""
+    flat = _symmetries(n)[1][0](code)
+    return [flat[r * n : (r + 1) * n] for r in range(n)]
+
+
+def scan_orbits(n: int, max_entry: int, parents) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(code, chi) of every canonical n x n extension of ``parents`` (canonical
+    (n-1)-codes) that passes ``primitive_unit_det_charpoly``."""
+    out = []
+    for code in _canonical_extensions(parents, n, max_entry + 1):
+        chi = primitive_unit_det_charpoly(code_rows(code, n))
+        if chi is not None:
+            out.append((code, chi))
+    return out
+
+
+def orbit_indices(code: tuple[int, ...], n: int, base: int) -> set[int]:
+    """Row-major indices (as in ``decode_matrix``) of every matrix in the orbit."""
+    out = set()
+    for image in _symmetries(n)[1]:
+        index = 0
+        for digit in image(code):
+            index = index * base + digit
+        out.add(index)
     return out

@@ -322,6 +322,8 @@ def _cmd_search(args) -> int:
     from .search import SearchConfig, run_search
 
     _check_threads(args.threads)
+    if args.n < 1:
+        raise InputError(f"--n must be at least 1, got {args.n}")
     cfg = SearchConfig(n=args.n, max_entry=args.max_entry, tol=args.tol)
     result = run_search(cfg, threads=args.threads)
     payload = {

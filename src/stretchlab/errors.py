@@ -1,8 +1,8 @@
 """Resource guards raised by the kernels and the search driver.
 
 The CLI reports both as exit 2.  They live apart from ``_kernels`` and
-``search``, so mapping them loads neither a kernel backend, the search
-driver nor ``multiprocessing``.
+``search``, so mapping them loads neither the kernels, the search driver
+nor ``multiprocessing``.
 """
 
 

@@ -7,10 +7,14 @@ scanned slice has normalized spectral radius below the silver bound
 3 + 2*sqrt(2) (a violation requires strictly disjoint enclosures, so interval
 overlap can never produce a false positive).
 
-The scan is embarrassingly parallel over index ranges; survivors of the
-cheap compiled filter are classified once per distinct characteristic
-polynomial, and the argmin tie-break is the lexicographically least entry
-tuple, so results are independent of worker count.
+The filter and the characteristic polynomial are invariant under
+A -> P A P^T and A -> A^T, so the scan visits one canonical matrix per orbit
+of S_n x <transpose> (``_kernels.canonical_codes``) and splits the canonical
+(n-1) x (n-1) matrices it extends across the worker pool.  Matrices that
+pass the filter are classified once per distinct characteristic polynomial;
+a class counts every matrix in its orbits, and the argmin tie-break is the
+lexicographically least entry tuple among them, so results are independent
+of worker count.
 """
 
 from __future__ import annotations
@@ -80,44 +84,34 @@ class SearchResult:
     )
 
 
-def _scan_chunk(args) -> list[int]:
-    n, max_entry, start, stop = args
-    return _kernels.scan_primitive_unit_det(n, max_entry, start, stop, True)
-
-
-def _survivor_indices(cfg: SearchConfig, threads: int) -> list[int]:
-    total = cfg.space_size
+def _survivors(cfg: SearchConfig, threads: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(canonical code, chi) of every orbit that passes the filter."""
+    parents = _kernels.canonical_codes(cfg.n - 1, cfg.max_entry)
     if threads <= 1:
-        return _kernels.scan_primitive_unit_det(cfg.n, cfg.max_entry, 0, total, True)
-    chunks = []
-    step = max(1, total // (threads * 8))
-    start = 0
-    while start < total:
-        stop = min(total, start + step)
-        chunks.append((cfg.n, cfg.max_entry, start, stop))
-        start = stop
+        return _kernels.scan_orbits(cfg.n, cfg.max_entry, parents)
+    step = max(1, len(parents) // (threads * 8))
+    chunks = [
+        (cfg.n, cfg.max_entry, parents[start : start + step])
+        for start in range(0, len(parents), step)
+    ]
     with Pool(threads) as pool:
-        parts = pool.map(_scan_chunk, chunks)
-    return [idx for part in parts for idx in part]
+        parts = pool.starmap(_kernels.scan_orbits, chunks)
+    return [survivor for part in parts for survivor in part]
 
 
 def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
-    """Exhaustive scan of all (max_entry+1)^(n^2) matrices."""
+    """Exhaustive search of all (max_entry+1)^(n^2) matrices, one per orbit."""
     total = cfg.space_size
     if total > _budget():
         raise BudgetExceededError(
             f"search space {total} exceeds budget {_budget()}; "
             f"raise {BUDGET_ENV} to override"
         )
-    survivors = _survivor_indices(cfg, threads)
+    by_poly: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for code, chi in _survivors(cfg, threads):
+        by_poly.setdefault(chi, []).append(code)
 
     base = cfg.max_entry + 1
-    by_poly: dict[tuple[int, ...], list[int]] = {}
-    for idx in survivors:
-        rows = _kernels.decode_matrix(idx, cfg.n, base)
-        chi = _kernels.charpoly(rows)
-        by_poly.setdefault(chi, []).append(idx)
-
     classes: list[QualifyingClass] = []
     count_qualifying = 0
     for coeffs in sorted(by_poly):
@@ -127,7 +121,9 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
         if real_roots_in_interval(poly, 1, cauchy_root_bound(poly)) == 0:
             continue  # spectral radius not > 1
         root = largest_real_root(poly, cfg.tol)
-        indices = by_poly[coeffs]
+        indices = set().union(
+            *(_kernels.orbit_indices(code, cfg.n, base) for code in by_poly[coeffs])
+        )
         count_qualifying += len(indices)
         least = IntMatrix(_kernels.decode_matrix(min(indices), cfg.n, base))
         classes.append(

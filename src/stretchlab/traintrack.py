@@ -71,6 +71,10 @@ class TrainTrack:
         return _Geometry(self)
 
     @cached_property
+    def _boundary(self) -> tuple[BoundaryComponent, ...]:
+        return boundary_components(self)
+
+    @cached_property
     def _weight_space(self) -> WeightSpace:
         if not self.vertices:
             return WeightSpace(self, ())
@@ -366,7 +370,7 @@ def radical_element(track: TrainTrack, component: BoundaryComponent) -> tuple[in
 def radical_elements(track: TrainTrack) -> list[tuple[int, ...]]:
     """r_c for every even-cusped boundary component (smooth ones skipped)."""
     out = []
-    for comp in boundary_components(track):
+    for comp in track._boundary:
         if comp.cusps and comp.cusps % 2 == 0:
             out.append(radical_element(track, comp))
     return out
@@ -393,7 +397,6 @@ def _rank(vectors: list[Sequence[Fraction]]) -> int:
 class RadicalReport:
     dimension: int
     element_count: int
-    elements_in_weight_space: bool
     elements_in_radical: bool
     spans_equal: bool
 
@@ -401,15 +404,13 @@ class RadicalReport:
 def radical_report(track: TrainTrack) -> RadicalReport:
     """Check span{r_c} against rad(omega): containment always, equality reported."""
     dim, _ = radical(track)
-    elements = radical_elements(track)
-    in_ws = all(satisfies_switch_conditions(track, r) for r in elements)
+    elements = radical_elements(track)  # radical_element checks the switch conditions
     basis = track._weight_space.basis
-    in_rad = in_ws and all(all(_omega(track, r, b) == 0 for b in basis) for r in elements)
+    in_rad = all(all(_omega(track, r, b) == 0 for b in basis) for r in elements)
     span_rank = _rank([tuple(map(Fraction, r)) for r in elements])
     return RadicalReport(
         dimension=dim,
         element_count=len(elements),
-        elements_in_weight_space=in_ws,
         elements_in_radical=in_rad,
         spans_equal=in_rad and span_rank == dim,
     )
@@ -440,7 +441,7 @@ def track_report(track: TrainTrack) -> dict:
     """Everything the traintrack CLI emits."""
     ws = weight_space(track)
     gram = gram_form(track)
-    comps = boundary_components(track)
+    comps = track._boundary
     rep = radical_report(track)
     return {
         "edges": track.n_edges,

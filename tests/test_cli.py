@@ -266,6 +266,14 @@ def test_search_budget_exit_code(monkeypatch, capsys):
     assert main(["search", "--n", "3", "--max-entry", "1"]) == 2
 
 
+def test_search_dimension_below_1_exits_2(capsys):
+    for n in ("0", "-1"):
+        assert main(["search", "--n", n, "--max-entry", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be at least 1, got {n}\n"
+
+
 def test_repro_set_theorem_passes_and_is_deterministic(capsys):
     code1, out1 = run_cli(capsys, "repro", "set-theorem")
     code2, out2 = run_cli(capsys, "repro", "set-theorem")

@@ -19,7 +19,7 @@ SRC = str(Path(stretchlab.__file__).resolve().parent.parent)
 #: The public names of the package, as exported when every submodule was imported eagerly.
 EXPORTED = (
     "AdmissibilityReport CurveGraph DEFAULT_TOL FamilyForm IntMatrix IntPolynomial "
-    "KERNEL_BACKEND PrimitivityReport RootEnclosure SearchConfig SearchResult "
+    "PrimitivityReport RootEnclosure SearchConfig SearchResult "
     "SharpnessExample SimpleCycle SpectralClass SturmChain TrainTrack ValueInterval "
     "WeightSpace _kernels boundary_components build_example char_poly classify "
     "clique_polynomial companion compare_enclosures convergence_table curve_graph "
@@ -99,7 +99,6 @@ def test_every_exported_name_resolves_lazily():
     assert names["missing"] == []
     assert names["types"]["classify"] == "function"
     assert names["types"]["matrices"] == "module"
-    assert stretchlab.KERNEL_BACKEND == stretchlab._kernels.BACKEND
 
 
 def test_classify_stays_the_function_after_a_classify_query():

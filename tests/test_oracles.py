@@ -7,7 +7,7 @@ import networkx as nx
 import sympy
 
 from conftest import random_polynomial
-from stretchlab._kernels import _pure
+from stretchlab import _kernels
 from stretchlab.poly import IntPolynomial
 from stretchlab.roots import real_roots_in_interval, unit_circle_root_count
 from stretchlab.sharpness import build_matrix
@@ -59,7 +59,7 @@ def test_digraph_structure_against_networkx():
             for j in range(n):
                 if rows[i][j]:
                     g.add_edge(i, j)
-        sc, period = _pure.digraph_structure(rows)
+        sc, period = _kernels.digraph_structure(rows)
         assert sc == nx.is_strongly_connected(g)
         cycle_gcd = 0
         for cycle in nx.simple_cycles(g):
@@ -75,8 +75,8 @@ def test_charpoly_hessenberg_shapes_match_berkowitz():
             [rng.randint(-4, 4) if j >= i - 1 else 0 for j in range(n)]
             for i in range(n)
         ]
-        hess = _pure._charpoly_hessenberg(rows, n)
-        berk = _pure._charpoly_berkowitz(rows, n)
+        hess = _kernels._charpoly_hessenberg(rows, n)
+        berk = _kernels._charpoly_berkowitz(rows, n)
         assert hess == berk
         theirs = sympy.Matrix(rows).charpoly()
         assert list(hess) == [int(c) for c in reversed(theirs.all_coeffs())]
@@ -92,4 +92,4 @@ def test_mixed_period_components():
         [0, 0, 0, 0, 1],
         [0, 0, 1, 0, 0],
     ]
-    assert _pure.digraph_structure(rows) == (False, 1)
+    assert _kernels.digraph_structure(rows) == (False, 1)

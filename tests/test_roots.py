@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_structured_reciprocal
 from stretchlab.poly import IntPolynomial, cyclotomic
@@ -160,6 +162,53 @@ def test_compare_enclosures_ordering_and_equality():
     assert compare_enclosures(mu, sigma) == -1
     assert compare_enclosures(sigma, mu) == 1
     assert compare_enclosures(mu, mu_again) == 0
+
+
+tolerances = st.integers(0, 40).map(lambda k: Fraction(1, 2**k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**12), st.sampled_from([1, 2, 3, 4, 6, 12]), tolerances, tolerances)
+def test_compare_enclosures_on_equal_roots(n, m, tol_a, tol_b):
+    # sqrt(n), certified once by t^2 - n and once by (t^2 - n) Phi_m
+    a = largest_real_root(P((-n, 0, 1)), tol_a)
+    b = largest_real_root(P((-n, 0, 1)) * cyclotomic(m), tol_b)
+    assert compare_enclosures(a, b) == 0
+    assert compare_enclosures(b, a) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**12), st.integers(1, 1000), tolerances, tolerances, st.booleans())
+def test_compare_enclosures_on_nearly_equal_roots(n, gap, tol_a, tol_b, shared):
+    # sqrt(n) < sqrt(n + gap), which can lie within 1e-9 of each other; with
+    # ``shared`` the larger root's certificate also has sqrt(n) as a root
+    big = P((-(n + gap), 0, 1))
+    if shared:
+        big = big * P((-n, 0, 1))
+    a = largest_real_root(P((-n, 0, 1)), tol_a)
+    b = largest_real_root(big, tol_b)
+    assert compare_enclosures(a, b) == -1
+    assert compare_enclosures(b, a) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3, 4, 6]), tolerances)
+def test_power_comparison_on_the_threshold(e, m, tol):
+    # x^e = 3 + 2 sqrt(2) exactly for the largest root x of t^2e - 6 t^e + 1
+    composed = [0] * (2 * e + 1)
+    composed[0], composed[e], composed[2 * e] = 1, -6, 1
+    x = largest_real_root(P(composed) * cyclotomic(m), tol)
+    assert compare_power_to_silver_squared(x, e) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 10**6), st.sampled_from([-1, 1]), tolerances)
+def test_power_comparison_near_the_threshold(e, k, side, tol):
+    # x^e = 3 + sqrt(8 + side/k), just above (side 1) or below (side -1) the bound
+    perturbed = [0] * (2 * e + 1)
+    perturbed[0], perturbed[e], perturbed[2 * e] = k - side, -6 * k, k
+    x = largest_real_root(P(perturbed), tol)
+    assert compare_power_to_silver_squared(x, e) == side
 
 
 def test_silver_threshold_and_power_comparison():

@@ -1,7 +1,9 @@
 """Exhaustive matrix searches and the single-matrix witness pipeline."""
 
 import pytest
+from search_reference import brute_force_search
 
+from stretchlab import _kernels
 from stretchlab.families import enumerate_admissible
 from stretchlab.matrices import IntMatrix
 from stretchlab.poly import IntPolynomial
@@ -54,11 +56,47 @@ def test_search_n4_zero_violations():
 
 
 def test_search_deterministic_across_threads():
-    a = run_search(SearchConfig(n=3, max_entry=1), threads=1)
-    b = run_search(SearchConfig(n=3, max_entry=1), threads=2)
-    assert a.count_qualifying == b.count_qualifying
-    assert a.minimum == b.minimum
-    assert a.classes == b.classes
+    for n, max_entry in ((3, 1), (4, 1), (3, 2)):
+        a = run_search(SearchConfig(n=n, max_entry=max_entry), threads=1)
+        b = run_search(SearchConfig(n=n, max_entry=max_entry), threads=2)
+        assert a.count_qualifying == b.count_qualifying
+        assert a.minimum == b.minimum
+        assert a.classes == b.classes
+
+
+#: Every slice brute force covers: n <= 4 over {0,1}, n <= 3 over {0,1,2},
+#: n = 2 over {0..3}.
+BRUTE_FORCE_SLICES = [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("n, max_entry", BRUTE_FORCE_SLICES)
+def test_orbit_search_matches_brute_force(n, max_entry):
+    cfg = SearchConfig(n=n, max_entry=max_entry)
+    assert run_search(cfg) == brute_force_search(cfg)
+
+
+@pytest.mark.parametrize("n, max_entry", BRUTE_FORCE_SLICES)
+def test_orbits_partition_the_slice(n, max_entry):
+    # Burnside: the orbits of the canonical codes cover every index once
+    base = max_entry + 1
+    codes = _kernels.canonical_codes(n, max_entry)
+    orbits = [_kernels.orbit_indices(code, n, base) for code in codes]
+    assert sum(map(len, orbits)) == base ** (n * n)
+    assert set().union(*orbits) == set(range(base ** (n * n)))
+    for code, orbit in zip(codes, orbits):
+        # each orbit holds the matrix whose code represents it
+        rows = _kernels.code_rows(code, n)
+        index = 0
+        for entry in (e for row in rows for e in row):
+            index = index * base + entry
+        assert index in orbit
+
+
+def test_orbit_counts():
+    # one matrix per orbit of S_n x <transpose>
+    assert len(_kernels.canonical_codes(3, 1)) == 74
+    assert len(_kernels.canonical_codes(4, 1)) == 1740
+    assert len(_kernels.canonical_codes(3, 2)) == 1950
 
 
 def test_search_budget_guard():

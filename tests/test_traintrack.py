@@ -143,7 +143,7 @@ def test_radical_element_odd_component_errors():
 def test_radical_containment_all_fixtures():
     for track in all_track_fixtures():
         rep = radical_report(track)
-        assert rep.elements_in_weight_space
+        assert all(satisfies_switch_conditions(track, r) for r in radical_elements(track))
         assert rep.elements_in_radical
 
 
@@ -217,6 +217,23 @@ def test_track_report_builds_one_gram_form(monkeypatch):
         report = track_report(track)
         assert len(calls) == 1
         assert report["radical_dim"] == radical(track)[0]
+
+
+def test_track_report_traces_the_boundary_once(monkeypatch):
+    calls = []
+    original = stretchlab.traintrack.boundary_components
+    monkeypatch.setattr(
+        stretchlab.traintrack,
+        "boundary_components",
+        lambda *args: calls.append(args) or original(*args),
+    )
+    track = polygon_track(9)
+    report = track_report(track)
+    assert len(calls) == 1
+    assert report["boundary"] == [
+        {"length": len(c.walk), "cusps": c.cusps, "inner": c.inner} for c in original(track)
+    ]
+    assert report["radical_elements"] == len(radical_elements(track))
 
 
 def test_track_report_fields():
