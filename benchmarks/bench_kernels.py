@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, and the orbit search beside a brute-force reference.
+"""Time the hot kernels, the orbit search and the cyclotomic stripping
+beside the test suite's references.
 
 The search rows time ``run_search`` (one matrix per orbit of
-S_n x <transpose>) and the test suite's brute-force reference, which decodes
-and filters every matrix of the slice; their results are asserted equal.
+S_n x <transpose>) and the brute-force reference, which decodes and filters
+every matrix of the slice.  The stripping row times ``strip_cyclotomic``
+(which divides only where Phi_m(2) divides the value at 2) and plain trial
+division on the parity survivors of the five families at n = 16.  Each
+row's results are asserted equal.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
 """
@@ -15,10 +19,13 @@ import time
 from pathlib import Path
 
 from stretchlab import _kernels
+from stretchlab.classify import parity_condition, strip_cyclotomic
+from stretchlab.families import ALL_FORMS, _form_instances, instantiate
 from stretchlab.search import SearchConfig, run_search
 from stretchlab.sharpness import build_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from cyclotomic_reference import strip_by_trial_division  # noqa: E402
 from search_reference import brute_force_search  # noqa: E402
 
 
@@ -80,6 +87,20 @@ def main():
         assert orbit == brute, f"orbit search differs from brute force on {cfg}"
         name = f"n={n} entries<={max_entry} ({cfg.space_size})"
         print(f"{name:<38} {t_orbit:>9.3f}s {t_brute:>9.3f}s {t_brute / t_orbit:>8.1f}x")
+
+    candidates = {
+        instantiate(form, 16) for tag in ALL_FORMS for form in _form_instances(tag, 16)
+    }
+    survivors = sorted(
+        (p for p in candidates if p.constant_term() and parity_condition(p)),
+        key=lambda p: p.coeffs,
+    )
+    t_filtered, filtered = timed(lambda: [strip_cyclotomic(p) for p in survivors])
+    t_trial, trial = timed(lambda: [strip_by_trial_division(p) for p in survivors])
+    assert filtered == trial, "strip_cyclotomic differs from plain trial division"
+    print(f"\n{'strip_cyclotomic':<38} {'filtered':>10} {'trial':>10} {'ratio':>9}")
+    name = f"family survivors n=16 x{len(survivors)}"
+    print(f"{name:<38} {t_filtered:>9.3f}s {t_trial:>9.3f}s {t_trial / t_filtered:>8.1f}x")
     return 0
 
 

@@ -324,6 +324,8 @@ def _cmd_search(args) -> int:
     _check_threads(args.threads)
     if args.n < 1:
         raise InputError(f"--n must be at least 1, got {args.n}")
+    if args.max_entry < 0:
+        raise InputError(f"--max-entry must be at least 0, got {args.max_entry}")
     cfg = SearchConfig(n=args.n, max_entry=args.max_entry, tol=args.tol)
     result = run_search(cfg, threads=args.threads)
     payload = {

@@ -402,13 +402,14 @@ def _phi_sieve(limit: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
-def cyclotomic_indices_up_to_degree(deg: int) -> list[int]:
+@functools.cache
+def cyclotomic_indices_up_to_degree(deg: int) -> tuple[int, ...]:
     """All m with phi(m) <= deg; search bound m <= 2*deg^2 since phi(m) >= sqrt(m/2)."""
     if deg < 1:
-        return []
+        return ()
     limit = 2 * deg * deg
     phi = _phi_sieve(limit)
-    return [m for m in range(1, limit + 1) if phi[m] <= deg]
+    return tuple(m for m in range(1, limit + 1) if phi[m] <= deg)
 
 
 # -- JSON wire format -------------------------------------------------

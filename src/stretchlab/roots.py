@@ -301,43 +301,60 @@ def compare_enclosures(e1: RootEnclosure, e2: RootEnclosure) -> int:
     raise SeparationError("enclosures neither separate nor share a certified root")
 
 
+@functools.lru_cache(maxsize=16)
 def silver_ratio_squared(tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Enclosure of 3 + 2*sqrt(2), the classification threshold, from t^2 - 6t + 1."""
+    """Enclosure of 3 + 2*sqrt(2), the classification threshold, from t^2 - 6t + 1.
+
+    Cached per ``tol``: every comparison against the bound shares one isolation.
+    """
     return largest_real_root(SILVER_SQUARED_POLY, tol)
+
+
+def _is_silver_power(base: RootEnclosure, exponent: int) -> bool:
+    """Whether the enclosed root x has x^exponent in {3 + 2*sqrt(2), 3 - 2*sqrt(2)}.
+
+    Those x are exactly the positive real roots of t^(2e) - 6t^e + 1, so a
+    root of its gcd with the certificate inside the enclosure decides it.
+    """
+    comp = [0] * (2 * exponent + 1)
+    comp[0] = 1
+    comp[exponent] = -6
+    comp[2 * exponent] = 1
+    g = poly_gcd(base.polynomial, IntPolynomial(comp))
+    return g.degree() >= 1 and real_roots_in_interval(g, base.lo, base.hi) >= 1
 
 
 def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:
     """-1, 0, +1 for base^exponent against 3 + 2*sqrt(2), exactly.
 
-    Values exactly on the threshold (the enclosed root is a root of
-    t^(2e) - 6t^e + 1 above 1) are detected algebraically, so interval overlap
-    can never be mistaken for a violation of the bound.
+    Interval separation comes first: the outward-rounded power of ``base``
+    is compared with the cached enclosure of the threshold, and disjoint
+    intervals decide.  Only when those first enclosures overlap does the
+    algebraic test run: a value exactly on the threshold (the enclosed root
+    is a root of t^(2e) - 6t^e + 1) must overlap it, so it is detected
+    before any refinement and overlap can never be mistaken for a violation
+    of the bound.  The reciprocal 3 - 2*sqrt(2) lies far below the
+    threshold and separates at once, as -1.  Otherwise both enclosures are
+    refined until they separate.
     """
     if base.lo < 0:
         raise ValueError("comparator expects a nonnegative enclosure")
     if exponent < 1:
         raise ValueError("comparator needs a positive exponent")
-    comp = [0] * (2 * exponent + 1)
-    comp[0] = 1
-    comp[exponent] = -6
-    comp[2 * exponent] = 1
-    composed = IntPolynomial(comp)
-    g = poly_gcd(base.polynomial, composed)
-    if g.degree() >= 1 and real_roots_in_interval(g, base.lo, base.hi) >= 1:
-        # base^exponent is 3 + 2*sqrt(2) or its reciprocal; 1 is not a root
-        # of the composition, so the position against 1 settles which.
-        b = base
-        while not (b.lo > 1 or b.hi < 1):
-            b = b.refined(b.width / 4)
-        return 0 if b.lo > 1 else -1
     threshold = silver_ratio_squared()
     b = base
-    for _ in range(SILVER_COMPARE_ROUNDS + 1):
+    for round_ in range(SILVER_COMPARE_ROUNDS + 1):
         powered = b.powered(exponent)
         if powered.hi < threshold.lo:
             return -1
         if powered.lo > threshold.hi:
             return 1
+        if round_ == 0 and _is_silver_power(base, exponent):
+            # base^exponent is 3 + 2*sqrt(2) or its reciprocal; 1 is not a
+            # root of the composition, so the position against 1 settles which.
+            while not (b.lo > 1 or b.hi < 1):
+                b = b.refined(b.width / 4)
+            return 0 if b.lo > 1 else -1
         b = b.refined(b.width / 256)
         threshold = threshold.refined(threshold.width / 256)
     raise SeparationError("cannot separate the normalized value from the bound")

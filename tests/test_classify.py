@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial, random_reciprocal, random_skew_reciprocal
+from cyclotomic_reference import strip_by_trial_division
 from stretchlab.classify import (
     classify,
     is_reciprocal,
@@ -93,6 +94,35 @@ def test_strip_decomposition_soundness_random():
                 assert not (exact and rem.is_zero()), (p, m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from((1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 30)), max_size=6),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+    st.integers(0, 2),
+)
+@example(indices=[1, 2, 2, 12], cofactor=[-1, -1, 1], twos=1)
+def test_strip_cyclotomic_matches_trial_division(indices, cofactor, twos):
+    # twos > 0 puts t - 2 in the cofactor, so p(2) = 0 and no division is skipped
+    cofactor[0] = cofactor[0] or 1
+    p = P(cofactor) * P((-2, 1)) ** twos
+    for m in indices:
+        p = p * cyclotomic(m)
+    cyclo, core = strip_cyclotomic(p)
+    assert (cyclo, core) == strip_by_trial_division(p)
+    assert cyclo * core == p
+
+
+def test_strip_cyclotomic_matches_trial_division_on_family_survivors():
+    candidates = {
+        instantiate(form, 16) for tag in ALL_FORMS for form in _form_instances(tag, 16)
+    }
+    survivors = [p for p in candidates if p.constant_term() and parity_condition(p)]
+    assert len(survivors) > 300
+    assert any(strip_cyclotomic(p)[0].degree() > 0 for p in survivors)
+    for p in survivors:
+        assert strip_cyclotomic(p) == strip_by_trial_division(p), p
+
+
 def test_skew_up_to_cyclotomic_examples():
     assert is_skew_reciprocal_up_to_cyclotomic(P((-1, -2, -1, 0, 1)))
     assert is_skew_reciprocal_up_to_cyclotomic(P((-1, -2, 0, 1)))  # (t+1)(t^2-t-1)
@@ -131,7 +161,7 @@ def test_parity_is_necessary_for_skew_up_to_cyclotomic(indices, skew):
 def _skew_up_to_cyclotomic_by_trial_division(p: P) -> bool:
     if p.constant_term() == 0:
         return False
-    core = strip_cyclotomic(p)[1]
+    core = strip_by_trial_division(p)[1]
     return core.degree() == 0 or is_skew_reciprocal(core) is not None
 
 

@@ -274,6 +274,17 @@ def test_search_dimension_below_1_exits_2(capsys):
         assert captured.err == f"error: --n must be at least 1, got {n}\n"
 
 
+def test_search_negative_max_entry_exits_2(capsys):
+    for max_entry in ("-1", "-5"):
+        assert main(["search", "--n", "2", "--max-entry", max_entry]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-entry must be at least 0, got {max_entry}\n"
+    code, out = run_cli(capsys, "search", "--n", "2", "--max-entry", "0")
+    assert code == 0
+    assert json.loads(out)["count_scanned"] == 1
+
+
 def test_repro_set_theorem_passes_and_is_deterministic(capsys):
     code1, out1 = run_cli(capsys, "repro", "set-theorem")
     code2, out2 = run_cli(capsys, "repro", "set-theorem")

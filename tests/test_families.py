@@ -132,6 +132,18 @@ def test_cyclotomic_trial_division_only_after_parity(monkeypatch):
     assert all(parity_condition(p) for p in calls)
 
 
+def test_stripping_skips_failing_divisions(monkeypatch):
+    # the Phi_m(2) | p(2) test: plain trial division makes ~8,700 divisions here
+    classify_module = importlib.import_module("stretchlab.classify")
+    divrem = classify_module.divrem
+    calls = []
+    monkeypatch.setattr(
+        classify_module, "divrem", lambda p, q: calls.append(q) or divrem(p, q)
+    )
+    enumerate_admissible(16)
+    assert 0 < len(calls) < 1000
+
+
 def test_parity_checked_once_per_candidate(monkeypatch, capsys):
     # the package's classify() function shadows the module attribute
     classify_module = importlib.import_module("stretchlab.classify")

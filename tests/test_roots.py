@@ -1,5 +1,6 @@
 """Certified root enclosures, Sturm counts and unit-circle counts."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from conftest import random_structured_reciprocal
 from stretchlab.poly import IntPolynomial, cyclotomic
 from stretchlab.roots import (
     DEFAULT_TOL,
+    SILVER_SQUARED_POLY,
     NoRealRootError,
+    RootEnclosure,
     cauchy_root_bound,
     compare_enclosures,
     compare_power_to_silver_squared,
@@ -23,6 +26,7 @@ from stretchlab.roots import (
     sturm_chain,
     unit_circle_root_count,
 )
+from stretchlab.sharpness import expected_char_poly
 
 P = IntPolynomial
 
@@ -219,6 +223,51 @@ def test_silver_threshold_and_power_comparison():
     assert compare_power_to_silver_squared(sigma, 2) == 0  # sigma^2 exactly
     assert compare_power_to_silver_squared(mu, 2) == -1  # mu^2 below
     assert compare_power_to_silver_squared(mu, 4) == 1  # mu^4 above
+
+
+def test_power_comparison_below_the_reciprocal_threshold():
+    # x = sqrt(2) - 1, the largest real root of t^2 + 2t - 1, has x^2 = 1/sigma^2
+    inverse_sigma = P((-1, 2, 1))
+    assert compare_power_to_silver_squared(largest_real_root(inverse_sigma), 2) == -1
+    # a wide enclosure overlaps the threshold, so the algebraic test decides
+    wide = RootEnclosure(Fraction(0), Fraction(3), inverse_sigma)
+    assert compare_power_to_silver_squared(wide, 2) == -1
+
+
+def test_power_comparison_separates_before_the_gcd(monkeypatch):
+    roots_module = importlib.import_module("stretchlab.roots")
+    mu = largest_real_root(GOLDEN)
+    sharp = largest_real_root(expected_char_poly(12))
+    sigma = largest_real_root(SILVER)
+    gcd = roots_module.poly_gcd
+    calls = []
+    monkeypatch.setattr(roots_module, "poly_gcd", lambda p, q: calls.append(q) or gcd(p, q))
+    assert compare_power_to_silver_squared(mu, 4) == 1
+    assert compare_power_to_silver_squared(mu, 2) == -1
+    assert compare_power_to_silver_squared(sharp, 24) == 1
+    assert calls == []
+    assert compare_power_to_silver_squared(sigma, 2) == 0
+    assert len(calls) == 1
+
+
+def test_silver_threshold_isolated_once_per_tol(monkeypatch):
+    roots_module = importlib.import_module("stretchlab.roots")
+    mu = largest_real_root(GOLDEN)
+    isolate = roots_module.largest_real_root
+    calls = []
+    monkeypatch.setattr(
+        roots_module,
+        "largest_real_root",
+        lambda p, tol=DEFAULT_TOL: calls.append((p, tol)) or isolate(p, tol),
+    )
+    silver_ratio_squared.cache_clear()
+    for e in range(2, 9):
+        compare_power_to_silver_squared(mu, e)
+    assert calls == [(SILVER_SQUARED_POLY, DEFAULT_TOL)]
+    assert silver_ratio_squared() is silver_ratio_squared()
+    fine = Fraction(1, 2**50)
+    assert silver_ratio_squared(fine).width <= fine
+    assert calls == [(SILVER_SQUARED_POLY, DEFAULT_TOL), (SILVER_SQUARED_POLY, fine)]
 
 
 def test_decimal_and_dyadic_rendering():
