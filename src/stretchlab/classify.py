@@ -258,5 +258,4 @@ def is_salem_like(p: IntPolynomial) -> bool:
         return False
     if is_reciprocal(p) is None:
         return False
-    count, _ = unit_circle_root_count(p)
-    return count == m - 2
+    return unit_circle_root_count(p) == m - 2

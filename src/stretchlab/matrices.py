@@ -2,7 +2,9 @@
 
 The characteristic polynomial is division-free (Hessenberg recurrence when
 the shape allows, Berkowitz otherwise) and the determinant is fraction-free
-Bareiss, so no rational rounding can occur.  Primitivity is the graph
+Bareiss, so no rational rounding can occur.  The spectral radius of a
+matrix with a negative entry is gated exactly too, through the symmetric
+square, so nothing here touches floating point.  Primitivity is the graph
 criterion: nonnegative, strongly connected, cycle-length gcd one; the
 Wielandt power test is kept alongside as an independent oracle.
 """
@@ -20,7 +22,9 @@ from .roots import (
     NoRealRootError,
     RootEnclosure,
     ValueInterval,
+    cauchy_root_bound,
     largest_real_root,
+    real_roots_in_interval,
 )
 
 
@@ -162,17 +166,30 @@ def verify_block_structure(m: IntMatrix, split: int) -> bool:
     return True
 
 
+def _symmetric_square(a: IntMatrix) -> IntMatrix:
+    """Sym^2 A on the basis e_i e_j (i <= j); its eigenvalues are a_i a_j for i <= j."""
+    r = a.rows
+    pairs = [(i, j) for i in range(a.n) for j in range(i, a.n)]
+    return IntMatrix(
+        [r[k][i] * r[l][j] + (r[l][i] * r[k][j] if k != l else 0) for i, j in pairs]
+        for k, l in pairs
+    )
+
+
 def spectral_radius(
     a: IntMatrix, tol: Fraction = DEFAULT_TOL, chi: IntPolynomial | None = None
 ) -> RootEnclosure:
     """Enclosure of rho(A) as the largest real root of the char polynomial.
 
     For nonnegative A this is Perron-Frobenius: rho(A) is itself an
-    eigenvalue, so it is the largest real root of chi.  Only for a matrix
-    with a negative entry is the claim that the spectral radius is attained
-    by a real eigenvalue checked numerically (numpy, tolerance 1e-9); the
-    call errors when it fails.  A caller that already holds
-    ``chi = char_poly(a)`` passes it in.
+    eigenvalue, so it is the largest real root of chi.  For a matrix with a
+    negative entry the claim is checked exactly, and the call errors when it
+    fails.  Every |a|^2 = a * conj(a) is an eigenvalue of Sym^2 A, so
+    rho(A)^2 is the largest real root of chi(Sym^2 A), and the square of the
+    largest real root lambda of chi is a root too: the enclosure of lambda
+    is refined until its square isolates lambda^2, and a Sturm count above
+    it decides.  A caller that already holds ``chi = char_poly(a)`` passes
+    it in.
     """
     if chi is None:
         chi = char_poly(a)
@@ -183,12 +200,14 @@ def spectral_radius(
             "no positive real eigenvalue; spectral radius is not a real root"
         ) from exc
     if not a.is_nonnegative():
-        import numpy as np
-
-        moduli = abs(np.linalg.eigvals(np.array(a.rows, dtype=float)))
-        if float(moduli.max()) > float(enclosure.hi) + 1e-9:
+        square = char_poly(_symmetric_square(a))
+        e = enclosure  # lambda lies in (lo, hi] with lo >= 0, so lambda^2 in (lo^2, hi^2]
+        while real_roots_in_interval(square, e.lo**2, e.hi**2) != 1:
+            e = e.refined(e.width / 256)
+        top = cauchy_root_bound(square)
+        if e.hi**2 < top and real_roots_in_interval(square, e.hi**2, top) > 0:
             raise PerronPreconditionError(
-                "a complex eigenvalue numerically exceeds the largest real root"
+                "a complex eigenvalue exceeds the largest real root"
             )
     return enclosure
 

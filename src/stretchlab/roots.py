@@ -3,8 +3,8 @@
 Root counting goes through Sturm chains on the square-free part (primitive
 parts at every step keep coefficient growth in check); isolation and
 refinement use pure dyadic bisection, so every certificate is a finite
-integer computation.  Floating point appears only in the explicitly flagged
-numeric fallbacks, never in a certificate.
+integer computation.  Nothing in this module touches floating point except
+``ValueInterval.__float__``, a convenience for callers.
 """
 
 from __future__ import annotations
@@ -119,17 +119,11 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RootEnclosure:
-    """Dyadic interval certified (by Sturm count) to hold exactly one real root.
-
-    ``polynomial`` is the square-free certificate: its sign changes across
-    [lo, hi] and its Sturm count on (lo, hi] is one.  For a square-free input
-    this is the input itself.
-    """
+class ValueInterval:
+    """Exact rational interval for a derived quantity (e.g. a normalized root)."""
 
     lo: Fraction
     hi: Fraction
-    polynomial: IntPolynomial
 
     @property
     def width(self) -> Fraction:
@@ -144,6 +138,25 @@ class RootEnclosure:
 
     def __float__(self) -> float:
         return float(self.midpoint)
+
+    def to_json(self) -> dict:
+        return {
+            "lo": dyadic_str(self.lo),
+            "hi": dyadic_str(self.hi),
+            "decimal": self.decimal(),
+        }
+
+
+@dataclass(frozen=True)
+class RootEnclosure(ValueInterval):
+    """Dyadic interval certified (by Sturm count) to hold exactly one real root.
+
+    ``polynomial`` is the square-free certificate: its sign changes across
+    [lo, hi] and its Sturm count on (lo, hi] is one.  For a square-free input
+    this is the input itself.
+    """
+
+    polynomial: IntPolynomial
 
     def refined(self, tol: Fraction) -> "RootEnclosure":
         """Shrink the interval to width <= tol by sign bisection."""
@@ -172,42 +185,6 @@ class RootEnclosure:
             Fraction(lo.numerator * scale // lo.denominator, scale),
             Fraction(-(-hi.numerator * scale // hi.denominator), scale),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "lo": dyadic_str(self.lo),
-            "hi": dyadic_str(self.hi),
-            "decimal": self.decimal(),
-        }
-
-
-@dataclass(frozen=True)
-class ValueInterval:
-    """Exact rational interval for a derived quantity (e.g. a normalized root)."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def decimal(self, sig: int = 10) -> str:
-        return fraction_to_decimal_str(self.midpoint, sig)
-
-    def __float__(self) -> float:
-        return float(self.midpoint)
-
-    def to_json(self) -> dict:
-        return {
-            "lo": dyadic_str(self.lo),
-            "hi": dyadic_str(self.hi),
-            "decimal": self.decimal(),
-        }
 
 
 def _collapse_exact_root(
@@ -401,28 +378,18 @@ def _distinct_unit_roots_squarefree(q: IntPolynomial) -> int:
     return count + 2 * real_roots_in_interval(r, Fraction(-2), Fraction(2))
 
 
-def unit_circle_root_count(p: IntPolynomial, method: str = "exact") -> tuple[int, str]:
-    """Roots of p with |z| = 1, counted with multiplicity.
+def unit_circle_root_count(p: IntPolynomial) -> int:
+    """Roots of p with |z| = 1, counted with multiplicity, exactly.
 
-    The exact path reduces to the palindromic core gcd(q, reverse q) of each
-    square-free factor and Sturm-counts the Chebyshev fold on (-2, 2); it
-    applies to every integer polynomial with p(0) != 0.  The numeric path
-    (modulus tolerance 1e-9) exists as an independent cross-check and is
-    flagged as such.
+    Each square-free factor is reduced to its palindromic core
+    gcd(q, reverse q), whose Chebyshev fold is Sturm-counted on (-2, 2);
+    this applies to every integer polynomial with p(0) != 0.
     """
     if p.is_zero():
         raise ValueError("unit-circle count of the zero polynomial")
     if p.constant_term() == 0:
         raise ValueError("unit-circle count requires a nonzero constant term")
-    if method == "numeric":
-        import numpy as np
-
-        roots = np.roots([float(c) for c in reversed(p.coeffs)])
-        count = int(sum(1 for z in roots if abs(abs(z) - 1.0) <= 1e-9))
-        return count, "numeric"
-    if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
-    total = 0
-    for factor, mult in square_free_decomposition(p):
-        total += mult * _distinct_unit_roots_squarefree(factor)
-    return total, "exact"
+    return sum(
+        mult * _distinct_unit_roots_squarefree(factor)
+        for factor, mult in square_free_decomposition(p)
+    )

@@ -6,6 +6,11 @@ two extra ones N in the first row at columns p_k and -p_k (mod 2k); its
 characteristic polynomial is exactly t^2k - t^p_k - t^(2k - p_k) - 1, it is
 primitive and unimodular, and the normalized largest root P_k exceeds the
 silver bound strictly while converging to it as k grows.
+
+P_k solves the normalized equation P - (s + 1/s) sqrt(P) - 1 = 0 with
+s = P^(1/2k) (k even) or P^(1/k) (k odd); in the largest root lambda it
+reads lambda^2k - lambda^p_k - lambda^(2k - p_k) - 1 = 0, the char
+polynomial itself, so the certified enclosure of its root is the check.
 """
 
 from __future__ import annotations
@@ -106,40 +111,21 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
     )
 
 
-def normalized_equation_residual(k: int, value: float) -> float:
-    """Float residual of the defining normalized equation at P_k (numeric)."""
-    half = value**0.5
-    if k % 2 == 0:
-        lam = value ** (1.0 / (2 * k))
-        return abs(value - (lam + 1.0 / lam) * half - 1.0)
-    sq = value ** (1.0 / k)
-    return abs(value - (sq + 1.0 / sq) * half - 1.0)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     k: int
     p_k: int
     normalized: ValueInterval
-    residual: float  # numeric restatement check, not a certificate
 
 
 def convergence_table(k_max: int, tol: Fraction = DEFAULT_TOL) -> list[ConvergenceRow]:
-    """P_k for k = 2..k_max with the defining-equation residual at each row."""
+    """P_k for k = 2..k_max, each row built and certified by ``build_example``."""
     if k_max < 2:
         raise ValueError("the family starts at k = 2")
     rows = []
     for k in range(2, k_max + 1):
         example = build_example(k, tol)
-        value = example.normalized
-        rows.append(
-            ConvergenceRow(
-                k=k,
-                p_k=example.p_k,
-                normalized=value,
-                residual=normalized_equation_residual(k, float(value.midpoint)),
-            )
-        )
+        rows.append(ConvergenceRow(k=k, p_k=example.p_k, normalized=example.normalized))
     return rows
 
 

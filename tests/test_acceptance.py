@@ -174,8 +174,8 @@ def test_criterion_7_number_theory_suite():
 
     lehmer = P((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
     lt = P((1, -1, -1, -1, 1))
-    assert unit_circle_root_count(lehmer) == (8, "exact")
-    assert unit_circle_root_count(lt) == (2, "exact")
+    assert unit_circle_root_count(lehmer) == 8
+    assert unit_circle_root_count(lt) == 2
 
     lehmer9 = largest_real_root(lehmer).powered(9)
     lt3 = largest_real_root(lt).powered(3)

@@ -194,6 +194,28 @@ def test_sharpness_table_comma_list_runs_only_listed_k(capsys):
     assert [row["k"] for row in json.loads(out)["table"]] == [2, 5, 9]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "--table", "5..2"],
+        ["family", "--scan", "3A1", "--n", "8", "--d", "3..1"],
+        ["sharpness", "--table", "2,x"],
+    ],
+    ids=["descending-table", "descending-scan", "non-integer-item"],
+)
+def test_empty_or_malformed_range_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("error: empty range", "error: bad range"))
+
+
+def test_sharpness_k_below_2_names_the_family_start(capsys):
+    for k in ("0", "1"):
+        assert main(["sharpness", "--k", k]) == 2
+        assert capsys.readouterr().err == "error: the family starts at k = 2\n"
+
+
 def test_sharpness_invariant_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(stretchlab.sharpness, "expected_char_poly", lambda k: IntPolynomial((1, 1)))
     assert main(["sharpness", "--k", "3"]) == 1
@@ -312,6 +334,18 @@ def test_repro_set_theorem_decides_without_floats(monkeypatch, capsys):
     for cls in (ValueInterval, RootEnclosure, Fraction):
         monkeypatch.setattr(cls, "__float__", no_float)
     assert run_cli(capsys, "repro", "set-theorem") == (0, expected)
+
+
+def test_repro_thm_main_decides_without_floats(monkeypatch, capsys):
+    code, expected = run_cli(capsys, "repro", "thm-main")
+    assert code == 0
+
+    def no_float(self):
+        raise AssertionError("a float decided a certified claim")
+
+    for cls in (ValueInterval, Fraction):
+        monkeypatch.setattr(cls, "__float__", no_float)
+    assert run_cli(capsys, "repro", "thm-main") == (0, expected)
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,11 @@
 
 Every check that depends on what is already imported runs in a fresh
 interpreter, so the test session's own imports cannot hide a regression.
+The sources themselves import no numpy and call ``float`` nowhere but in a
+``__float__`` method, and the package declares no runtime dependency.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -47,6 +50,8 @@ HEAVY = (
 )
 
 PERIOD_4 = {"rows": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0]]}
+#: A signed matrix with a complex pair of modulus 2 above its largest real root 1.
+SIGNED = {"rows": [[1, 0, 0], [0, 0, -4], [0, 1, 0]]}
 
 
 def fresh(code: str):
@@ -78,10 +83,27 @@ def loaded_after(argv) -> set[str]:
     [
         (None, HEAVY),
         (["classify", "--poly", '{"coeffs":["-1","-2","-1","0","1"]}'], HEAVY),
-        # nonnegative, not primitive: Perron-Frobenius, so no numeric gate
+        # nonnegative, not primitive: Perron-Frobenius, so no gate
         (["matrix", "--matrix", json.dumps(PERIOD_4)], ("numpy",)),
+        # the spectral-radius gate of a signed matrix is exact
+        (["matrix", "--matrix", json.dumps(SIGNED)], ("numpy",)),
+        (["curve-graph", "--matrix", json.dumps(PERIOD_4)], ("numpy",)),
+        (["family", "--n", "6"], ("numpy",)),
+        (["sharpness", "--k", "3"], ("numpy",)),
+        (["search", "--n", "3", "--max-entry", "1"], ("numpy",)),
+        (["repro", "set-theorem"], ("numpy",)),
     ],
-    ids=["import", "classify", "matrix-period-4"],
+    ids=[
+        "import",
+        "classify",
+        "matrix-period-4",
+        "matrix-signed",
+        "curve-graph",
+        "family",
+        "sharpness",
+        "search",
+        "repro-set-theorem",
+    ],
 )
 def test_command_imports_only_what_it_uses(argv, absent):
     assert sorted(set(absent) & loaded_after(argv)) == []
@@ -133,3 +155,38 @@ def test_classify_stays_the_function_after_a_classify_query():
 )
 def test_each_module_imports_on_its_own(module):
     assert fresh(f"import json, stretchlab.{module}\nprint(json.dumps(1))") == 1
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(SRC, "stretchlab").glob("*.py")), ids=lambda p: p.name
+)
+def test_sources_import_no_numpy_and_call_float_only_in_dunder_float(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nodes = list(ast.walk(tree))
+    modules = [alias.name for n in nodes if isinstance(n, ast.Import) for alias in n.names]
+    modules += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    allowed = {
+        id(inner)
+        for n in nodes
+        if isinstance(n, ast.FunctionDef) and n.name == "__float__"
+        for inner in ast.walk(n)
+    }
+    float_calls = [
+        n.lineno
+        for n in nodes
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "float"
+        and id(n) not in allowed
+    ]
+    assert float_calls == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("not running from a source tree")
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == []

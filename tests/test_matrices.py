@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from stretchlab import matrices
 from stretchlab.matrices import (
     IntMatrix,
     PerronPreconditionError,
@@ -23,6 +24,7 @@ from stretchlab.matrices import (
     wielandt_positive,
 )
 from stretchlab.poly import IntPolynomial
+from stretchlab.roots import NoRealRootError, largest_real_root
 
 P = IntPolynomial
 
@@ -97,14 +99,14 @@ def test_spectral_radius_perron_errors():
         spectral_radius(IntMatrix([[1, 0, 0], [0, 0, -4], [0, 1, 0]]))
 
 
-def test_numeric_gate_runs_only_for_signed_matrices(monkeypatch):
-    eigvals = np.linalg.eigvals
+def test_exact_gate_runs_only_for_signed_matrices(monkeypatch):
+    square = matrices._symmetric_square
     gated = []
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: gated.append(a) or eigvals(a))
+    monkeypatch.setattr(matrices, "_symmetric_square", lambda a: gated.append(a) or square(a))
     signed = IntMatrix([[1, 0, 0], [0, 0, -4], [0, 1, 0]])
     with pytest.raises(PerronPreconditionError):
         spectral_radius(signed)
-    assert len(gated) == 1
+    assert gated == [signed]
     # nonnegative, not strongly connected, a Jordan block at eigenvalue 1:
     # Perron-Frobenius alone certifies rho = 2, without the gate
     reducible = IntMatrix([[2, 1, 0], [0, 1, 1], [0, 0, 1]])
@@ -114,7 +116,55 @@ def test_numeric_gate_runs_only_for_signed_matrices(monkeypatch):
         "hi": "8796093022209/2^42",
         "decimal": "2",
     }
-    assert len(gated) == 1
+    assert gated == [signed]
+
+
+def refused(a: IntMatrix) -> bool:
+    try:
+        spectral_radius(a)
+    except PerronPreconditionError:
+        return True
+    return False
+
+
+def numeric_gate_refuses(a: IntMatrix) -> bool:
+    """Float oracle: some eigenvalue modulus exceeds the real-root enclosure by 1e-9."""
+    moduli = abs(np.linalg.eigvals(np.array(a.rows, dtype=float)))
+    return float(moduli.max()) > float(largest_real_root(char_poly(a)).hi) + 1e-9
+
+
+def test_symmetric_square_eigenvalues_are_the_pairwise_products():
+    a = IntMatrix([[1, 2, -1], [0, -3, 1], [2, 1, 1]])
+    alphas = np.linalg.eigvals(np.array(a.rows, dtype=float))
+    products = [alphas[i] * alphas[j] for i in range(3) for j in range(i, 3)]
+    ours = np.linalg.eigvals(np.array(matrices._symmetric_square(a).rows, dtype=float))
+    assert np.allclose(np.sort_complex(ours), np.sort_complex(np.array(products)))
+
+
+def test_exact_gate_agrees_with_numeric_eigenvalues():
+    # a complex pair of modulus exactly lambda = 2 passes, where floats pass
+    # it only through their tolerance
+    assert not refused(IntMatrix([[2, 0, 0], [0, 0, -4], [0, 1, 0]]))
+    assert not numeric_gate_refuses(IntMatrix([[2, 0, 0], [0, 0, -4], [0, 1, 0]]))
+    # the dominant eigenvalue -2 is real but not the largest real root 1
+    assert refused(IntMatrix([[-2, 0], [0, 1]]))
+    assert numeric_gate_refuses(IntMatrix([[-2, 0], [0, 1]]))
+    # the double root 2 of a Jordan block: floats see 2 +- 2e-8 and refuse it
+    assert not refused(IntMatrix([[3, -1], [1, 1]]))
+    assert numeric_gate_refuses(IntMatrix([[3, -1], [1, 1]]))
+    rng = random.Random(11)
+    checked = 0
+    while checked < 160:
+        n = rng.randint(2, 8)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if a.is_nonnegative():
+            continue
+        try:
+            largest_real_root(char_poly(a))
+        except NoRealRootError:
+            continue
+        assert refused(a) == numeric_gate_refuses(a), a.rows
+        checked += 1
 
 
 def test_companion_examples_and_roundtrip():

@@ -4,6 +4,7 @@ import importlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,14 +133,14 @@ def test_refinement_narrows():
 
 
 def test_unit_circle_counts_paper_values():
-    assert unit_circle_root_count(LEHMER) == (8, "exact")
-    assert unit_circle_root_count(LT) == (2, "exact")
-    assert unit_circle_root_count(GOLDEN) == (0, "exact")
+    assert unit_circle_root_count(LEHMER) == 8
+    assert unit_circle_root_count(LT) == 2
+    assert unit_circle_root_count(GOLDEN) == 0
 
 
 def test_unit_circle_multiplicity():
     p = cyclotomic(4) * cyclotomic(4) * GOLDEN  # (t^2+1)^2 doubles the count
-    assert unit_circle_root_count(p) == (4, "exact")
+    assert unit_circle_root_count(p) == 4
 
 
 def test_unit_circle_errors():
@@ -149,14 +150,17 @@ def test_unit_circle_errors():
         unit_circle_root_count(P(()))
 
 
+def numeric_unit_circle_count(p: IntPolynomial) -> int:
+    """Float oracle: roots from np.roots within 1e-9 of modulus one."""
+    roots = np.roots([float(c) for c in reversed(p.coeffs)])
+    return sum(1 for z in roots if abs(abs(z) - 1.0) <= 1e-9)
+
+
 def test_unit_circle_exact_agrees_with_numeric():
     rng = random.Random(97)
     for _ in range(200):
         p = random_structured_reciprocal(rng)
-        exact, tag_e = unit_circle_root_count(p, method="exact")
-        numeric, tag_n = unit_circle_root_count(p, method="numeric")
-        assert tag_e == "exact" and tag_n == "numeric"
-        assert exact == numeric, p
+        assert unit_circle_root_count(p) == numeric_unit_circle_count(p), p
 
 
 def test_compare_enclosures_ordering_and_equality():

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import sympy
 
 from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
 from stretchlab.matrices import char_poly, determinant, is_primitive
@@ -14,7 +15,6 @@ from stretchlab.sharpness import (
     conjectured_minimum,
     convergence_table,
     expected_char_poly,
-    normalized_equation_residual,
     silver_parameters,
     verify_conjecture_values,
 )
@@ -77,9 +77,16 @@ def test_same_parity_decrease():
         assert rows[k].normalized.hi < rows[k - 2].normalized.lo
 
 
-def test_residuals_restate_the_polynomial():
-    for row in convergence_table(8):
-        assert row.residual < 1e-9
+def test_normalized_equation_is_the_char_poly():
+    # P - (s + 1/s) sqrt(P) - 1 with P = lam^(2k) and s = P^(1/2k) (k even)
+    # or P^(1/k) (k odd), expanded in lam, is exactly the k-th char poly
+    lam = sympy.Symbol("lam", positive=True)
+    for k in range(2, 41):
+        value = lam ** (2 * k)
+        s = value ** sympy.Rational(1, 2 * k if k % 2 == 0 else k)
+        equation = sympy.expand(value - (s + 1 / s) * sympy.sqrt(value) - 1)
+        coeffs = sympy.Poly(equation, lam).all_coeffs()
+        assert P([int(c) for c in reversed(coeffs)]) == expected_char_poly(k), k
 
 
 def test_conjectured_minimum_equals_family_value():
@@ -96,13 +103,6 @@ def test_verify_conjecture_values_rows():
     rows = verify_conjecture_values(6)
     assert [k for k, _ in rows] == [2, 3, 4, 5, 6]
     assert abs(float(rows[0][1]) - MU4) < 1e-9
-
-
-def test_normalized_equation_residual_forms():
-    # even k uses exponent 1/(2k), odd k uses 1/k
-    assert normalized_equation_residual(2, MU4) < 1e-9
-    ex3 = build_example(3)
-    assert normalized_equation_residual(3, float(ex3.normalized)) < 1e-9
 
 
 def test_roots_distinct_across_k():
