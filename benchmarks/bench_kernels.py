@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, the orbit search and the cyclotomic stripping
-beside the test suite's references.
+"""Time the hot kernels, the orbit search, the cyclotomic stripping and
+the root isolation beside the test suite's references.
 
 The search rows time ``run_search`` (one matrix per orbit of
 S_n x <transpose>) and the brute-force reference, which decodes and filters
 every matrix of the slice.  The stripping row times ``strip_cyclotomic``
 (which divides only where Phi_m(2) divides the value at 2) and plain trial
-division on the parity survivors of the five families at n = 16.  Each
-row's results are asserted equal.
+division on the parity survivors of the five families at n = 16.  The
+root-isolation rows time ``largest_real_root`` (one remainder sequence per
+polynomial, lazy pseudo-division, sparse Horner) and the two-pass eager
+reference on the sharpness char polys and the admissible n = 16 family
+polynomials.  Each row's results are asserted equal.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
 """
@@ -20,11 +23,13 @@ from pathlib import Path
 
 from stretchlab import _kernels
 from stretchlab.classify import parity_condition, strip_cyclotomic
-from stretchlab.families import ALL_FORMS, _form_instances, instantiate
+from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
+from stretchlab.roots import largest_real_root, sturm_chain
 from stretchlab.search import SearchConfig, run_search
-from stretchlab.sharpness import build_matrix
+from stretchlab.sharpness import build_matrix, expected_char_poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import poly_reference  # noqa: E402
 from cyclotomic_reference import strip_by_trial_division  # noqa: E402
 from search_reference import brute_force_search  # noqa: E402
 
@@ -101,6 +106,20 @@ def main():
     print(f"\n{'strip_cyclotomic':<38} {'filtered':>10} {'trial':>10} {'ratio':>9}")
     name = f"family survivors n=16 x{len(survivors)}"
     print(f"{name:<38} {t_filtered:>9.3f}s {t_trial:>9.3f}s {t_trial / t_filtered:>8.1f}x")
+
+    ks = (50, 100) if args.quick else (50, 100, 150, 200)
+    family = [r.polynomial for r in enumerate_admissible(16)]
+    rows = [
+        (f"sharpness char polys k={','.join(map(str, ks))}", [expected_char_poly(k) for k in ks]),
+        (f"family admissible n=16 x{len(family)}", family),
+    ]
+    print(f"\n{'largest_real_root':<38} {'one-pass':>10} {'two-pass':>10} {'ratio':>9}")
+    for name, polys in rows:
+        sturm_chain.cache_clear()
+        t_lib, lib = timed(lambda: [largest_real_root(p) for p in polys])
+        t_ref, reference = timed(lambda: [poly_reference.largest_real_root(p) for p in polys])
+        assert [(e.lo, e.hi, e.polynomial) for e in lib] == reference, name
+        print(f"{name:<38} {t_lib:>9.3f}s {t_ref:>9.3f}s {t_ref / t_lib:>8.1f}x")
     return 0
 
 

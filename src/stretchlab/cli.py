@@ -242,6 +242,12 @@ def _cmd_family(args) -> int:
         _emit(payload, args)
         return 0 if result.strictly_increasing else 1
     forms = ALL_FORMS if args.forms in (None, "all") else tuple(args.forms.split(","))
+    unknown = [tag for tag in forms if tag not in ALL_FORMS]
+    if unknown:
+        raise InputError(
+            f"unknown --forms tag(s) {', '.join(map(repr, unknown))}; "
+            f"valid tags: {','.join(ALL_FORMS)} or all"
+        )
     reports = enumerate_admissible(args.n, forms, args.tol)
     threshold = silver_ratio_squared(args.tol)
     below = [
@@ -296,7 +302,7 @@ def _cmd_sharpness(args) -> int:
         "p_k": ex.p_k,
         "q_k": ex.q_k,
         "char_poly": poly_to_json(ex.char_poly),
-        "matrix": [[str(e) for e in row] for row in ex.matrix.rows],
+        "matrix": [list(map(str, row)) for row in ex.matrix.rows],
         "root": ex.root.to_json(),
         "normalized": ex.normalized.to_json(),
         "exceeds_bound": True,  # build_example certifies this

@@ -180,6 +180,9 @@ def enumerate_admissible(
         raise ValueError("enumeration needs degree >= 2")
     if n > DEGREE_CAP:
         raise ValueError(f"degree {n} exceeds the enumeration cap {DEGREE_CAP}")
+    unknown = [tag for tag in forms if tag not in ALL_FORMS]
+    if unknown:
+        raise ValueError(f"unknown family form tag(s) {unknown}; valid tags: {ALL_FORMS}")
     seen: set[tuple[int, ...]] = set()
     reports: list[AdmissibilityReport] = []
     for tag in forms:

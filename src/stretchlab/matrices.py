@@ -39,7 +39,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(int(e) for e in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if not data or any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "rows", data)
@@ -52,7 +52,7 @@ class IntMatrix:
         return self.rows[i][j]
 
     def is_nonnegative(self) -> bool:
-        return all(e >= 0 for row in self.rows for e in row)
+        return min(map(min, self.rows)) >= 0
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.rows))

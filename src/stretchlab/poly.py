@@ -26,13 +26,6 @@ class InexactDivisionError(ArithmeticError):
         self.remainder = remainder
 
 
-def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 @dataclass(frozen=True, init=False)
 class IntPolynomial:
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of t^i.
@@ -44,7 +37,11 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim(int(c) for c in coeffs))
+        data = tuple(map(int, coeffs))
+        end = len(data)
+        while end and not data[end - 1]:
+            end -= 1
+        object.__setattr__(self, "coeffs", data[:end] if end < len(data) else data)
 
     # -- basic queries ------------------------------------------------
 
@@ -140,15 +137,23 @@ class IntPolynomial:
         """den^deg * p(num/den) as an exact integer; den must be positive.
 
         Shares the sign of p(num/den), which is all root counting needs.
+        Horner's rule steps from one nonzero term to the next: across a gap
+        of g zero coefficients it multiplies by num^g and den^g once, and the
+        powers of num below the lowest nonzero term come last.  The integer
+        is the same as the term-by-term sum of c_i num^i den^(deg-i).
         """
         if self.is_zero():
             return 0
         acc = self.coeffs[-1]
         denpow = 1
+        gap = 0
         for c in reversed(self.coeffs[:-1]):
-            denpow *= den
-            acc = acc * num + c * denpow
-        return acc
+            gap += 1
+            if c:
+                denpow *= den**gap
+                acc = acc * num**gap + c * denpow
+                gap = 0
+        return acc * num**gap
 
     def sign_at(self, x: Fraction) -> int:
         v = self.eval_scaled(x.numerator, x.denominator)
@@ -217,37 +222,54 @@ class DivisionResult(NamedTuple):
 
 
 def _pseudo_divide(p: IntPolynomial, q: IntPolynomial) -> tuple[list[int], list[int], int]:
-    """Pseudo-division over Z: ``lead(q)^steps * p == quot * q + rem``.
+    """Pseudo-division over Z: ``mult * p == quot * q + rem``, ``deg rem < deg q``.
 
-    ``steps = max(deg p - deg q + 1, 0)``; returns the coefficient lists of
-    ``quot`` and ``rem`` (``deg rem < deg q``) and the multiplier
-    ``lead(q)^steps``.  Raises ZeroDivisionError for a zero divisor.
+    Returns the coefficient lists of ``quot`` and ``rem`` and the multiplier
+    ``mult = lead(q)^j`` with ``0 <= j <= max(deg p - deg q + 1, 0)``.  The
+    scaling is lazy: a step whose coefficient is 0 is skipped, a coefficient
+    that ``lead(q)`` divides is eliminated by the exact multiple, and only
+    otherwise are the live remainder entries and the quotient entries
+    already set multiplied by ``lead(q)``.  So ``(mult, quot, rem)`` is a
+    nonzero multiple of the rational quotient and remainder ``(1, Q, R)``,
+    not a fixed power of ``lead(q)``.  Raises ZeroDivisionError for a zero
+    divisor.
     """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by the zero polynomial")
-    lq = q.lead
-    dq = q.degree()
-    steps = max(p.degree() - dq + 1, 0)
+    qc = q.coeffs
+    lq = qc[-1]
+    dq = len(qc) - 1
     rem = list(p.coeffs)
-    quot = [0] * steps
-    for k in range(p.degree(), dq - 1, -1):
+    quot = [0] * max(len(rem) - dq, 0)
+    mult = 1
+    for k in range(len(rem) - 1, dq - 1, -1):
         coef = rem[k]
-        if lq != 1:
-            for i in range(len(rem)):
+        if not coef:
+            continue
+        shift = k - dq
+        c, r = divmod(coef, lq)
+        if r:
+            # Scale what is still live: rem[:k] and the quotient above shift.
+            for i in range(k):
                 rem[i] *= lq
-            for i in range(steps):
+            for i in range(shift + 1, len(quot)):
                 quot[i] *= lq
-        quot[k - dq] += coef
-        if coef:
-            for j in range(dq + 1):
-                rem[k - dq + j] -= coef * q.coeffs[j]
-    return quot, rem, lq**steps
+            mult *= lq
+            c = coef
+        quot[shift] = c
+        for j in range(dq):
+            rem[shift + j] -= c * qc[j]
+        rem[k] = 0
+    return quot, rem, mult
 
 
 def divrem(p: IntPolynomial, q: IntPolynomial) -> DivisionResult:
     """Exact division with remainder over the rationals.
 
-    Raises ZeroDivisionError for a zero divisor.
+    The pseudo-division's triple is divided by its gcd with the sign of the
+    denominator made positive: that is the primitive integer point on the
+    ray of ``(1, Q, R)``, so the result does not depend on how lazily the
+    division scaled.  Raises ZeroDivisionError for a zero divisor.
     """
     quot, rem, den = _pseudo_divide(p, q)
     if den < 0:
@@ -273,13 +295,16 @@ def exact_div(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 
 def pseudo_rem(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """|lead(q)|^steps * (p mod q): a positive integer multiple of the remainder.
+    """A positive integer multiple of the remainder of p modulo q.
 
-    Unlike divrem, it takes no content gcd; remainder sequences take primitive
-    parts themselves.
+    The multiple is |lead(q)|^j for some j no larger than the classical
+    pseudo-remainder's exponent, chosen by the lazy scaling of the division.
+    Unlike divrem, it takes no content gcd; the remainder sequences of
+    ``poly_gcd`` and ``roots.sturm_chain`` take primitive parts themselves,
+    so only the sign and the primitive part of this result matter.
     """
-    _, rem, den = _pseudo_divide(p, q)
-    return IntPolynomial(rem) if den > 0 else -IntPolynomial(rem)
+    _, rem, mult = _pseudo_divide(p, q)
+    return IntPolynomial(rem) if mult > 0 else -IntPolynomial(rem)
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

@@ -1,10 +1,12 @@
 """Certified real-root machinery: Sturm chains and dyadic enclosures.
 
 Root counting goes through Sturm chains on the square-free part (primitive
-parts at every step keep coefficient growth in check); isolation and
-refinement use pure dyadic bisection, so every certificate is a finite
-integer computation.  Nothing in this module touches floating point except
-``ValueInterval.__float__``, a convenience for callers.
+parts at every step keep coefficient growth in check).  One signed remainder
+sequence both builds the chain and tests square-freeness, so the chain's
+first element is the square-free certificate that enclosures carry.
+Isolation and refinement use pure dyadic bisection, so every certificate is
+a finite integer computation.  Nothing in this module touches floating
+point except ``ValueInterval.__float__``, a convenience for callers.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from fractions import Fraction
 from .poly import (
     IntPolynomial,
     exact_div,
+    one,
     poly_gcd,
     pseudo_rem,
     square_free_decomposition,
-    square_free_part,
 )
 
 #: Default enclosure width, a dyadic stand-in for 1e-12.
@@ -66,7 +68,12 @@ def dyadic_str(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Sturm chain of a square-free polynomial (primitive-part sequence)."""
+    """Sturm chain of a square-free polynomial (primitive-part sequence).
+
+    ``chain[0]`` is the square-free polynomial itself, primitive with a
+    positive leading coefficient: the certificate of every enclosure built
+    from the chain.
+    """
 
     chain: tuple[IntPolynomial, ...]
 
@@ -82,23 +89,39 @@ class SturmChain:
         return self.variations_at(a) - self.variations_at(b)
 
 
-@functools.lru_cache(maxsize=4096)
-def _square_free(p: IntPolynomial) -> IntPolynomial:
-    return square_free_part(p)
-
-
-@functools.lru_cache(maxsize=4096)
-def sturm_chain(p: IntPolynomial) -> SturmChain:
-    """Sturm chain of the square-free part of p."""
-    f = _square_free(p)
-    if f.degree() < 1:
-        return SturmChain((f,))
+def _signed_remainder_sequence(f: IntPolynomial) -> list[IntPolynomial]:
+    # f, f', then the negated primitive remainders, up to the last nonzero one.
     chain = [f, f.derivative().primitive_part()]
     while chain[-1].degree() > 0:
         rem = pseudo_rem(chain[-2], chain[-1])
         if rem.is_zero():
-            break  # cannot happen for square-free input, kept as a guard
+            break
         chain.append((-rem).primitive_part())
+    return chain
+
+
+@functools.lru_cache(maxsize=4096)
+def sturm_chain(p: IntPolynomial) -> SturmChain:
+    """Sturm chain of the square-free part of p; ``chain[0]`` is that part.
+
+    The signed primitive remainder sequence runs once on f, the primitive
+    part of p with positive leading coefficient.  If it ends in a nonzero
+    constant, gcd(f, f') = 1 and f is already square-free.  Otherwise its
+    last element is +-gcd(f, f'); f divided by it, normalised the same way,
+    is ``square_free_part(p)``, and the sequence runs again on that.  A
+    constant p gives the chain (1,).  Raises ValueError for the zero
+    polynomial.
+    """
+    if p.is_zero():
+        raise ValueError("Sturm chain of the zero polynomial")
+    if p.degree() < 1:
+        return SturmChain((one(),))
+    f = (p if p.lead > 0 else -p).primitive_part()
+    chain = _signed_remainder_sequence(f)
+    if chain[-1].degree() > 0:
+        f = exact_div(f, chain[-1])
+        f = (f if f.lead > 0 else -f).primitive_part()
+        chain = _signed_remainder_sequence(f)
     return SturmChain(tuple(chain))
 
 
@@ -233,8 +256,8 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEncl
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    sf = _square_free(p)
     chain = sturm_chain(p)
+    sf = chain.chain[0]
     bound = cauchy_root_bound(sf)
     a, b = Fraction(0), bound
     v_top = chain.variations_at(bound)

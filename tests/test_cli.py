@@ -145,6 +145,15 @@ def test_family_command(capsys):
     assert payload["below_bound"] == []
 
 
+@pytest.mark.parametrize("forms", ["bogus", "2A1,", ""], ids=["unknown", "trailing-comma", "empty"])
+def test_family_unknown_forms_tag_exits_2(forms, capsys):
+    assert main(["family", "--n", "4", "--forms", forms]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown --forms tag(s) ")
+    assert "valid tags: 2A1,3A1,4A1,5A1,AStar2 or all" in captured.err
+
+
 def test_family_scan_command(capsys):
     code, out = run_cli(capsys, "family", "--n", "12", "--scan", "3A1", "--d", "0..3")
     assert code == 0

@@ -114,6 +114,12 @@ def test_enumerate_cap():
         enumerate_admissible(1)
 
 
+@pytest.mark.parametrize("forms", [("bogus",), ("2A1", ""), ("",)])
+def test_enumerate_rejects_unknown_form_tags(forms):
+    with pytest.raises(ValueError, match="unknown family form tag"):
+        enumerate_admissible(4, forms=forms)
+
+
 def test_cyclotomic_trial_division_only_after_parity(monkeypatch):
     candidates = {
         instantiate(form, 16) for tag in ALL_FORMS for form in _form_instances(tag, 16)

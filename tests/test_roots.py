@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_structured_reciprocal
-from stretchlab.poly import IntPolynomial, cyclotomic
+from stretchlab.poly import IntPolynomial, cyclotomic, square_free_part
 from stretchlab.roots import (
     DEFAULT_TOL,
     SILVER_SQUARED_POLY,
@@ -114,6 +114,41 @@ def test_multiple_roots_squarefree_certificate():
     enc = largest_real_root(P((4, -4, 1)))  # (t - 2)^2
     assert enc.polynomial == P((-2, 1))
     assert enc.lo < 2 <= enc.hi
+
+
+@pytest.mark.parametrize(
+    "p, distinct_real",
+    [
+        (GOLDEN * GOLDEN * P((2, 1)), 3),  # (t^2 - t - 1)^2 (t + 2)
+        # Phi_5^2 (t^3 - 2t - 1), and t^3 - 2t - 1 = (t + 1)(t^2 - t - 1)
+        (cyclotomic(5) * cyclotomic(5) * P((-1, -2, 0, 1)), 3),
+        (P((-2, 0, 1)) * P((-2, 0, 1)), 2),  # (t^2 - 2)^2
+    ],
+    ids=["golden-squared", "phi5-squared", "perfect-square"],
+)
+def test_one_pass_chain_on_repeated_factors(p, distinct_real):
+    chain = sturm_chain(p)
+    sf = square_free_part(p)
+    assert chain.chain[0] == sf
+    assert sf.degree() < p.degree()
+    bound = cauchy_root_bound(p)
+    assert real_roots_in_interval(p, -bound, bound) == distinct_real
+    assert real_roots_in_interval(sf, -bound, bound) == distinct_real
+    assert largest_real_root(p).polynomial == sf
+
+
+@pytest.mark.parametrize("c", [1, 5, -3])
+def test_chain_of_a_constant_is_one(c):
+    assert sturm_chain(P((c,))).chain == (P((1,)),)
+
+
+def test_zero_polynomial_has_no_chain():
+    with pytest.raises(ValueError):
+        real_roots_in_interval(P(()), 0, 1)
+    with pytest.raises(ValueError):
+        largest_real_root(P(()))
+    with pytest.raises(ValueError):
+        sturm_chain(P(()))
 
 
 def test_no_real_root_errors():
