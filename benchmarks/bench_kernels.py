@@ -12,24 +12,38 @@ polynomial, lazy pseudo-division, sparse Horner) and the two-pass eager
 reference on the sharpness char polys and the admissible n = 16 family
 polynomials.  Each row's results are asserted equal.
 
-Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick]
+The start-up rows time fresh interpreters: a bare ``python -c pass``,
+``import stretchlab.cli`` and one small ``classify``, ``matrix``,
+``curve-graph`` and ``traintrack`` query, each the median of several runs.
+They inherit the environment, so ``PYTHONDONTWRITEBYTECODE=1`` makes every
+run compile the sources it imports, as each operation of ``perfbench`` does.
+
+Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--startup-only]
 """
 
 import argparse
+import json
+import os
 import random
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+import stretchlab
 from stretchlab import _kernels
 from stretchlab.classify import parity_condition, strip_cyclotomic
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
 from stretchlab.roots import largest_real_root, sturm_chain
 from stretchlab.search import SearchConfig, run_search
 from stretchlab.sharpness import build_matrix, expected_char_poly
+from stretchlab.traintrack import track_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import poly_reference  # noqa: E402
+from conftest import bigon_track  # noqa: E402
 from cyclotomic_reference import strip_by_trial_division  # noqa: E402
 from search_reference import brute_force_search  # noqa: E402
 
@@ -40,10 +54,43 @@ def timed(fn):
     return time.perf_counter() - start, out
 
 
+def startup_rows(runs: int) -> None:
+    """Median wall time of fresh interpreters, bare and with one small query each."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stretchlab.__file__).resolve().parent.parent))
+    matrix = json.dumps({"rows": [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]})
+    with tempfile.TemporaryDirectory() as tmp:
+        track = Path(tmp, "track.json")
+        track.write_text(json.dumps(track_to_json(bigon_track())))
+        cli = [sys.executable, "-m", "stretchlab.cli"]
+        rows = [
+            ("python -c pass", [sys.executable, "-c", "pass"]),
+            ("import stretchlab.cli", [sys.executable, "-c", "import stretchlab.cli"]),
+            ("classify (degree 4)", cli + ["classify", "--poly", '{"coeffs":["-1","-2","-1","0","1"]}']),
+            ("matrix 4x4", cli + ["matrix", "--matrix", matrix]),
+            ("curve-graph 4x4", cli + ["curve-graph", "--matrix", matrix]),
+            ("traintrack bigon", cli + ["traintrack", "--file", str(track)]),
+        ]
+        bytecode = "off" if env.get("PYTHONDONTWRITEBYTECODE") else "on"
+        print(f"{'start-up (bytecode writes ' + bytecode + ')':<38} {'median':>10} {'runs':>5}")
+        for name, argv in rows:
+            walls = []
+            for _ in range(runs):
+                start = time.perf_counter()
+                subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+                walls.append(time.perf_counter() - start)
+            print(f"{name:<38} {statistics.median(walls):>9.3f}s {runs:>5}")
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
+    parser.add_argument("--startup-only", action="store_true", help="only the start-up rows")
     args = parser.parse_args()
+
+    startup_rows(5 if args.quick else 15)
+    if args.startup_only:
+        return 0
+    print()
 
     rng = random.Random(2024)
     n_mats = 300 if args.quick else 2000

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._immutable import Immutable, set_field
 from .poly import (
     IntPolynomial,
     cyclotomic,
@@ -142,21 +142,45 @@ def parity_condition(p: IntPolynomial) -> bool:
     return all((c[d] + c[k - d]) % 2 == 0 for d in range(k + 1))
 
 
-@dataclass(frozen=True)
-class SpectralClass:
-    """Full classification record of one integer polynomial."""
+class SpectralClass(Immutable):
+    """Full classification record of one integer polynomial.
 
-    polynomial: IntPolynomial
-    reciprocal: int | None
-    skew_reciprocal: int | None
-    cyclotomic_part: IntPolynomial
-    core: IntPolynomial
-    skew_up_to_cyclotomic: bool
-    parity_ok: bool
-    degenerate: bool  # purely cyclotomic: spectral radius 1, never a stretch factor
+    ``degenerate`` marks a purely cyclotomic polynomial: spectral radius 1,
+    never a stretch factor.  The constructor asserts that the cyclotomic
+    part times the core is the polynomial.
+    """
 
-    def __post_init__(self):
-        assert self.cyclotomic_part * self.core == self.polynomial
+    __slots__ = (
+        "polynomial",
+        "reciprocal",
+        "skew_reciprocal",
+        "cyclotomic_part",
+        "core",
+        "skew_up_to_cyclotomic",
+        "parity_ok",
+        "degenerate",
+    )
+
+    def __init__(
+        self,
+        polynomial: IntPolynomial,
+        reciprocal: int | None,
+        skew_reciprocal: int | None,
+        cyclotomic_part: IntPolynomial,
+        core: IntPolynomial,
+        skew_up_to_cyclotomic: bool,
+        parity_ok: bool,
+        degenerate: bool,
+    ):
+        assert cyclotomic_part * core == polynomial
+        set_field(self, "polynomial", polynomial)
+        set_field(self, "reciprocal", reciprocal)
+        set_field(self, "skew_reciprocal", skew_reciprocal)
+        set_field(self, "cyclotomic_part", cyclotomic_part)
+        set_field(self, "core", core)
+        set_field(self, "skew_up_to_cyclotomic", skew_up_to_cyclotomic)
+        set_field(self, "parity_ok", parity_ok)
+        set_field(self, "degenerate", degenerate)
 
 
 def classify(p: IntPolynomial) -> SpectralClass:

@@ -3,7 +3,10 @@
 Exit codes: 0 = success, 1 = a checked mathematical property failed
 (a violation found, a bound check failed), 2 = input or parse error or an
 exceeded budget or cap, 3 = undecided (two enclosures could not be
-separated within the refinement cap, so the check has no answer).
+separated within the refinement cap, so the check has no answer), 4 =
+internal error: an exception no other code classifies (a KeyError, a
+TypeError, a failed invariant assertion) is a bug, not a verdict, and its
+traceback goes to stderr.
 Reports are schema-stable JSON (sorted keys); certified quantities always
 carry their enclosure next to the 10-significant-digit decimal.
 
@@ -643,6 +646,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,10 +17,11 @@ in the public cycle listing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernels
+from ._immutable import Immutable, set_field
 from .matrices import IntMatrix, char_poly
 from .poly import IntPolynomial
 from .roots import (
@@ -41,15 +42,15 @@ class GrowthRateError(ArithmeticError):
     """The clique polynomial has no root in (0, 1): growth rate <= 1."""
 
 
-@dataclass(frozen=True)
-class MultiDigraph:
+class MultiDigraph(Immutable):
     """Digraph of a nonnegative matrix; entry a_ij = parallel edges i -> j."""
 
-    matrix: IntMatrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        if not self.matrix.is_nonnegative():
+    def __init__(self, matrix: IntMatrix):
+        if not matrix.is_nonnegative():
             raise ValueError("multidigraph needs a nonnegative matrix")
+        set_field(self, "matrix", matrix)
 
     @property
     def n(self) -> int:
@@ -59,8 +60,7 @@ class MultiDigraph:
         return self.matrix.rows[u][v]
 
 
-@dataclass(frozen=True)
-class SimpleCycle:
+class SimpleCycle(NamedTuple):
     """Vertex-simple directed cycle; rotation starts at the smallest vertex.
 
     ``edge_choices[i]`` picks which of the parallel edges realizes the step
@@ -80,8 +80,7 @@ class SimpleCycle:
         return frozenset(self.vertices)
 
 
-@dataclass(frozen=True)
-class CurveGraph:
+class CurveGraph(NamedTuple):
     """Weighted graph of simple closed curves, adjacency = vertex-disjointness."""
 
     n: int
@@ -167,8 +166,7 @@ def _growth_rate(q: IntPolynomial, tol: Fraction) -> RootEnclosure:
     return largest_real_root(rev, tol)
 
 
-@dataclass(frozen=True)
-class GraphShape:
+class GraphShape(NamedTuple):
     """Small curve-graph shapes the classification distinguishes.
 
     kind "nA1": n pairwise intersecting curves (no edges); weights carries

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from ._immutable import Immutable, set_field
 from .classify import (
     is_skew_reciprocal,
     is_skew_reciprocal_up_to_cyclotomic,
@@ -47,8 +48,7 @@ DEGREE_CAP = 16
 quotient_exact = exact_div
 
 
-@dataclass(frozen=True)
-class FamilyForm:
+class FamilyForm(Immutable):
     """One parameter choice for one of the five shapes.
 
     For kA1 the params are the k-1 lower curve weights (the top weight is
@@ -56,17 +56,18 @@ class FamilyForm:
     a, b the adjacent pair and c isolated; max(c, a+b) must equal n.
     """
 
-    tag: str
-    params: tuple[int, ...]
+    __slots__ = ("tag", "params")
 
-    def __post_init__(self):
-        if self.tag not in ALL_FORMS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        expected = 3 if self.tag == "AStar2" else A_ONE_SIZES[self.tag] - 1
-        if len(self.params) != expected:
-            raise ValueError(f"{self.tag} takes {expected} parameters")
-        if any(p < 1 for p in self.params):
+    def __init__(self, tag: str, params: tuple[int, ...]):
+        if tag not in ALL_FORMS:
+            raise ValueError(f"unknown family tag {tag!r}")
+        expected = 3 if tag == "AStar2" else A_ONE_SIZES[tag] - 1
+        if len(params) != expected:
+            raise ValueError(f"{tag} takes {expected} parameters")
+        if min(params) < 1:
             raise ValueError("family parameters must be positive")
+        set_field(self, "tag", tag)
+        set_field(self, "params", params)
 
 
 def instantiate(form: FamilyForm, n: int) -> IntPolynomial:
@@ -109,8 +110,7 @@ def primitivity_compatible(p: IntPolynomial) -> bool:
     return g == 1
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     polynomial: IntPolynomial
     parity_ok: bool
     primitivity_compatible: bool
@@ -191,6 +191,8 @@ def enumerate_admissible(
             if p.coeffs in seen:
                 continue
             seen.add(p.coeffs)
+            if not parity_condition(p):
+                continue  # its report could not be admissible; skip the other filters
             report = admissibility_report(p, tol)
             if report.admissible:
                 reports.append(report)
@@ -225,16 +227,14 @@ def _scan_polynomial(branch: str, g: int, params: tuple[int, ...]) -> IntPolynom
     return IntPolynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     params: tuple[int, ...]
     polynomial: IntPolynomial
     root: RootEnclosure
     normalized: ValueInterval
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     branch: str
     n: int
     points: tuple[ScanPoint, ...]
@@ -295,8 +295,7 @@ def monotonicity_scan(
 # -- low-degree exceptional values --------------------------------------
 
 
-@dataclass(frozen=True)
-class LowDegreeReport:
+class LowDegreeReport(NamedTuple):
     """The n = 2 and n = 3 exceptions below the degree >= 4 bound."""
 
     mu_squared: ValueInterval

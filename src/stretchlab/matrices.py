@@ -11,11 +11,11 @@ Wielandt power test is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import _kernels
+from ._immutable import Immutable, set_field
 from .poly import IntPolynomial
 from .roots import (
     DEFAULT_TOL,
@@ -32,17 +32,27 @@ class PerronPreconditionError(ArithmeticError):
     """Spectral radius is not realized by a real eigenvalue."""
 
 
-@dataclass(frozen=True, init=False)
-class IntMatrix:
+class IntMatrix(Immutable):
     """Immutable square matrix of arbitrary-precision integers."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         data = tuple(tuple(map(int, row)) for row in rows)
         if not data or any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", data)
+        set_field(self, "rows", data)
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.rows!r})"
 
     @property
     def n(self) -> int:
@@ -110,8 +120,7 @@ def in_glnz(a: IntMatrix) -> bool:
     return determinant(a) in (1, -1)
 
 
-@dataclass(frozen=True)
-class PrimitivityReport:
+class PrimitivityReport(NamedTuple):
     nonnegative: bool
     strongly_connected: bool
     period: int  # gcd of directed cycle lengths, 0 if acyclic

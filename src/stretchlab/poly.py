@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
+
+from ._immutable import Immutable, set_field
 
 
 class InexactDivisionError(ArithmeticError):
@@ -26,22 +27,32 @@ class InexactDivisionError(ArithmeticError):
         self.remainder = remainder
 
 
-@dataclass(frozen=True, init=False)
-class IntPolynomial:
+class IntPolynomial(Immutable):
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of t^i.
 
     The zero polynomial is the empty tuple.  Instances are immutable and
     hashable, so they can key caches.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         data = tuple(map(int, coeffs))
         end = len(data)
         while end and not data[end - 1]:
             end -= 1
-        object.__setattr__(self, "coeffs", data[:end] if end < len(data) else data)
+        set_field(self, "coeffs", data[:end] if end < len(data) else data)
+
+    def __eq__(self, other):
+        if other.__class__ is not IntPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial({self.coeffs!r})"
 
     # -- basic queries ------------------------------------------------
 

@@ -12,10 +12,10 @@ point except ``ValueInterval.__float__``, a convenience for callers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from ._immutable import Immutable, set_field
 from .poly import (
     IntPolynomial,
     exact_div,
@@ -66,8 +66,7 @@ def dyadic_str(x: Fraction) -> str:
     return f"{x.numerator}/2^{k}"
 
 
-@dataclass(frozen=True)
-class SturmChain:
+class SturmChain(Immutable):
     """Sturm chain of a square-free polynomial (primitive-part sequence).
 
     ``chain[0]`` is the square-free polynomial itself, primitive with a
@@ -75,7 +74,10 @@ class SturmChain:
     from the chain.
     """
 
-    chain: tuple[IntPolynomial, ...]
+    __slots__ = ("chain",)
+
+    def __init__(self, chain: tuple[IntPolynomial, ...]):
+        set_field(self, "chain", chain)
 
     def variations_at(self, x: Fraction) -> int:
         signs = [p.sign_at(x) for p in self.chain]
@@ -141,12 +143,28 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     return Fraction(1 + (top + lead - 1) // lead)
 
 
-@dataclass(frozen=True)
-class ValueInterval:
+class ValueInterval(Immutable):
     """Exact rational interval for a derived quantity (e.g. a normalized root)."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+
+    def _key(self) -> tuple:
+        return self.lo, self.hi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}{self._key()!r}"
 
     @property
     def width(self) -> Fraction:
@@ -170,7 +188,6 @@ class ValueInterval:
         }
 
 
-@dataclass(frozen=True)
 class RootEnclosure(ValueInterval):
     """Dyadic interval certified (by Sturm count) to hold exactly one real root.
 
@@ -179,7 +196,15 @@ class RootEnclosure(ValueInterval):
     this is the input itself.
     """
 
-    polynomial: IntPolynomial
+    __slots__ = ("polynomial",)
+
+    def __init__(self, lo: Fraction, hi: Fraction, polynomial: IntPolynomial):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "polynomial", polynomial)
+
+    def _key(self) -> tuple:
+        return self.lo, self.hi, self.polynomial
 
     def refined(self, tol: Fraction) -> "RootEnclosure":
         """Shrink the interval to width <= tol by sign bisection."""

@@ -20,9 +20,9 @@ of worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from . import _kernels
 from .classify import classify, is_skew_reciprocal_up_to_cyclotomic
@@ -49,8 +49,7 @@ def _budget() -> int:
     return int(raw) if raw else DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     n: int
     max_entry: int
     tol: Fraction = DEFAULT_TOL
@@ -60,8 +59,7 @@ class SearchConfig:
         return (self.max_entry + 1) ** (self.n * self.n)
 
 
-@dataclass(frozen=True)
-class QualifyingClass:
+class QualifyingClass(NamedTuple):
     """All qualifying matrices sharing one characteristic polynomial."""
 
     char_poly: IntPolynomial
@@ -71,8 +69,7 @@ class QualifyingClass:
     least_matrix: IntMatrix
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     config: SearchConfig
     count_scanned: int
     count_qualifying: int
@@ -161,8 +158,7 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
     )
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     matrix: IntMatrix
     nonnegative: bool
     primitivity: object

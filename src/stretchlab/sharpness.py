@@ -15,8 +15,8 @@ polynomial itself, so the certified enclosure of its root is the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import is_skew_reciprocal_up_to_cyclotomic
 from .matrices import IntMatrix, char_poly, is_primitive
@@ -71,8 +71,7 @@ def exceeds_silver_squared(root: RootEnclosure, exponent: int) -> bool:
     return compare_power_to_silver_squared(root, exponent) > 0
 
 
-@dataclass(frozen=True)
-class SharpnessExample:
+class SharpnessExample(NamedTuple):
     k: int
     p_k: int
     q_k: int
@@ -111,8 +110,7 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     k: int
     p_k: int
     normalized: ValueInterval

@@ -15,32 +15,34 @@ the weight space and the skew form make sense for any track.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from ._immutable import Immutable, set_field
 
 
 class InvalidTrackError(ValueError):
     """The combinatorial data does not describe a train track."""
 
 
-@dataclass(frozen=True)
-class TrackVertex:
+class TrackVertex(NamedTuple):
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TrackEdge:
+class TrackEdge(NamedTuple):
     ends: tuple[int, int]  # the two half-edge ids
     kind: str  # "real" | "inf"
 
 
-@dataclass(frozen=True, init=False)
-class TrainTrack:
-    vertices: tuple[TrackVertex, ...]
-    edges: tuple[TrackEdge, ...]
+class TrainTrack(Immutable):
+    """Vertices and edges of a validated track.
+
+    Its derived data (geometry, boundary, weight space, Gram form) is
+    computed once and cached in the instance ``__dict__``; the fields cannot
+    be reassigned, so the caches never go stale.
+    """
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         vs = tuple(
@@ -51,9 +53,17 @@ class TrainTrack:
             e if isinstance(e, TrackEdge) else TrackEdge((e[0][0], e[0][1]), e[1])
             for e in edges
         )
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", es)
+        set_field(self, "vertices", vs)
+        set_field(self, "edges", es)
         _validate(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not TrainTrack:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
 
     @property
     def n_edges(self) -> int:
@@ -65,7 +75,6 @@ class TrainTrack:
     def infinitesimal_edges(self) -> list[int]:
         return [i for i, e in enumerate(self.edges) if e.kind == "inf"]
 
-    # Derived once per track; the dataclass is frozen, so they never go stale.
     @cached_property
     def _geometry(self) -> _Geometry:
         return _Geometry(self)
@@ -207,8 +216,7 @@ def _kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]
     return basis
 
 
-@dataclass(frozen=True)
-class WeightSpace:
+class WeightSpace(NamedTuple):
     """Exact rational basis of the solutions of all switch conditions."""
 
     track: TrainTrack
@@ -267,8 +275,7 @@ def _omega(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(NamedTuple):
     """Matrix of the skew form in a weight-space basis."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -292,8 +299,7 @@ def gram_form(track: TrainTrack) -> GramForm:
 # -- boundary components --------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     """One boundary walk of the fattened track.
 
     ``walk`` lists departing half-edge ids; step i enters the next vertex
@@ -393,8 +399,7 @@ def _rank(vectors: list[Sequence[Fraction]]) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class RadicalReport:
+class RadicalReport(NamedTuple):
     dimension: int
     element_count: int
     elements_in_radical: bool

@@ -242,6 +242,19 @@ def test_undecided_comparison_exits_3(monkeypatch, capsys):
     assert captured.err == "undecided: enclosures neither separate nor share a certified root\n"
 
 
+@pytest.mark.parametrize("error", [KeyError("coeffs"), AssertionError("invariant")])
+def test_internal_error_exits_4_with_traceback(error, monkeypatch, capsys):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(stretchlab.cli, "_cmd_classify", broken)
+    assert main(["classify", "--poly", '{"coeffs": ["-1", "-1", "1"]}']) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith(f"{type(error).__name__}: {error}\n")
+
+
 def test_threads_out_of_range_exits_2_before_any_pool(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool started for an out-of-range --threads")

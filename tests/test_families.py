@@ -11,6 +11,7 @@ from stretchlab.families import (
     ALL_FORMS,
     FamilyForm,
     _form_instances,
+    admissibility_report,
     enumerate_admissible,
     instantiate,
     monotonicity_scan,
@@ -150,7 +151,7 @@ def test_stripping_skips_failing_divisions(monkeypatch):
     assert 0 < len(calls) < 1000
 
 
-def test_parity_checked_once_per_candidate(monkeypatch, capsys):
+def test_reports_built_only_for_parity_survivors(monkeypatch, capsys):
     # the package's classify() function shadows the module attribute
     classify_module = importlib.import_module("stretchlab.classify")
     families_module = importlib.import_module("stretchlab.families")
@@ -172,17 +173,33 @@ def test_parity_checked_once_per_candidate(monkeypatch, capsys):
     assert main(["family", "--n", "16"]) == 0
     capsys.readouterr()
     monkeypatch.undo()
-    assert len(reports) == 5028
-    assert Counter(parity_calls) == Counter(r.polynomial.coeffs for r in reports)
+    # parity runs once on each of the 5,028 distinct candidates, and once
+    # more inside the report of each of the 326 that pass it
+    assert len(reports) == 326
+    before_reports = Counter(parity_calls) - Counter(r.polynomial.coeffs for r in reports)
+    assert len(before_reports) == 5028 and set(before_reports.values()) == {1}
     for r in reports:
         p = r.polynomial
         # the filter fields as computed before skew waited for parity
         expected = (
-            parity_condition(p),
+            True,
             primitivity_compatible(p),
             p.constant_term() != 0 and is_skew_reciprocal_up_to_cyclotomic(p),
         )
         assert (r.parity_ok, r.primitivity_compatible, r.skew_up_to_cyclotomic) == expected
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_enumerate_matches_the_full_report_filter(n):
+    candidates = {
+        instantiate(form, n).coeffs for tag in ALL_FORMS for form in _form_instances(tag, n)
+    }
+    reports = [admissibility_report(P(c)) for c in candidates]
+    expected = sorted(
+        (r for r in reports if r.admissible),
+        key=lambda r: (r.normalized.midpoint, r.polynomial.coeffs),
+    )
+    assert enumerate_admissible(n) == expected
 
 
 def test_quotient_exact_examples():

@@ -2,8 +2,9 @@
 
 Every check that depends on what is already imported runs in a fresh
 interpreter, so the test session's own imports cannot hide a regression.
-The sources themselves import no numpy and call ``float`` nowhere but in a
-``__float__`` method, and the package declares no runtime dependency.
+The sources themselves import neither numpy nor ``dataclasses`` and call
+``float`` nowhere but in a ``__float__`` method, and the package declares no
+runtime dependency.
 """
 
 import ast
@@ -37,9 +38,12 @@ EXPORTED = (
     "verify_clique_identity verify_low_degree_exceptions weight_space witness_check"
 ).split()
 
+#: Loaded by no command: the records are NamedTuples or plain classes, so
+#: nothing pulls in `dataclasses` and, through it, `inspect`.
+NEVER = ("numpy", "dataclasses", "inspect")
+
 #: Loaded by none of `import stretchlab.cli` and a `classify` query.
-HEAVY = (
-    "numpy",
+HEAVY = NEVER + (
     "multiprocessing",
     "stretchlab.search",
     "stretchlab.families",
@@ -52,6 +56,11 @@ HEAVY = (
 PERIOD_4 = {"rows": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0]]}
 #: A signed matrix with a complex pair of modulus 2 above its largest real root 1.
 SIGNED = {"rows": [[1, 0, 0], [0, 0, -4], [0, 1, 0]]}
+#: One vertex, one real loop: the smallest track the `traintrack` command reads.
+LOOP_TRACK = {
+    "vertices": [{"sideA": [1], "sideB": [2]}],
+    "edges": [{"ends": [1, 2], "kind": "real"}],
+}
 
 
 def fresh(code: str):
@@ -84,14 +93,15 @@ def loaded_after(argv) -> set[str]:
         (None, HEAVY),
         (["classify", "--poly", '{"coeffs":["-1","-2","-1","0","1"]}'], HEAVY),
         # nonnegative, not primitive: Perron-Frobenius, so no gate
-        (["matrix", "--matrix", json.dumps(PERIOD_4)], ("numpy",)),
+        (["matrix", "--matrix", json.dumps(PERIOD_4)], NEVER),
         # the spectral-radius gate of a signed matrix is exact
-        (["matrix", "--matrix", json.dumps(SIGNED)], ("numpy",)),
-        (["curve-graph", "--matrix", json.dumps(PERIOD_4)], ("numpy",)),
-        (["family", "--n", "6"], ("numpy",)),
-        (["sharpness", "--k", "3"], ("numpy",)),
-        (["search", "--n", "3", "--max-entry", "1"], ("numpy",)),
-        (["repro", "set-theorem"], ("numpy",)),
+        (["matrix", "--matrix", json.dumps(SIGNED)], NEVER),
+        (["curve-graph", "--matrix", json.dumps(PERIOD_4)], NEVER),
+        (["traintrack", "--file", "{track}"], NEVER),
+        (["family", "--n", "6"], NEVER),
+        (["sharpness", "--k", "3"], NEVER),
+        (["search", "--n", "3", "--max-entry", "1"], NEVER),
+        (["repro", "set-theorem"], NEVER),
     ],
     ids=[
         "import",
@@ -99,13 +109,18 @@ def loaded_after(argv) -> set[str]:
         "matrix-period-4",
         "matrix-signed",
         "curve-graph",
+        "traintrack",
         "family",
         "sharpness",
         "search",
         "repro-set-theorem",
     ],
 )
-def test_command_imports_only_what_it_uses(argv, absent):
+def test_command_imports_only_what_it_uses(argv, absent, tmp_path):
+    if argv and "{track}" in argv:
+        track = tmp_path / "track.json"
+        track.write_text(json.dumps(LOOP_TRACK))
+        argv = [str(track) if a == "{track}" else a for a in argv]
     assert sorted(set(absent) & loaded_after(argv)) == []
 
 
@@ -157,15 +172,20 @@ def test_each_module_imports_on_its_own(module):
     assert fresh(f"import json, stretchlab.{module}\nprint(json.dumps(1))") == 1
 
 
+def top_level_imports(nodes) -> set[str]:
+    """First components of the absolute module names that ``import`` statements name."""
+    nodes = list(nodes)
+    modules = [alias.name for n in nodes if isinstance(n, ast.Import) for alias in n.names]
+    modules += [n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level]
+    return {m.split(".")[0] for m in modules}
+
+
 @pytest.mark.parametrize(
     "path", sorted(Path(SRC, "stretchlab").glob("*.py")), ids=lambda p: p.name
 )
 def test_sources_import_no_numpy_and_call_float_only_in_dunder_float(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    nodes = list(ast.walk(tree))
-    modules = [alias.name for n in nodes if isinstance(n, ast.Import) for alias in n.names]
-    modules += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
-    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    assert "numpy" not in top_level_imports(nodes)
     allowed = {
         id(inner)
         for n in nodes
@@ -181,6 +201,14 @@ def test_sources_import_no_numpy_and_call_float_only_in_dunder_float(path):
         and id(n) not in allowed
     ]
     assert float_calls == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(SRC, "stretchlab").glob("*.py")), ids=lambda p: p.name
+)
+def test_sources_import_no_dataclasses(path):
+    nodes = ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    assert "dataclasses" not in top_level_imports(nodes)
 
 
 def test_pyproject_declares_no_runtime_dependency():
