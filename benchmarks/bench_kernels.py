@@ -10,7 +10,9 @@ division on the parity survivors of the five families at n = 16.  The
 root-isolation rows time ``largest_real_root`` (one remainder sequence per
 polynomial, lazy pseudo-division, sparse Horner) and the two-pass eager
 reference on the sharpness char polys and the admissible n = 16 family
-polynomials.  Each row's results are asserted equal.
+polynomials.  The JSON row times the CLI's streaming writer and
+``json.JSONEncoder(indent=2, sort_keys=True)`` on the ``sharpness --k``
+reports.  Each row's results are asserted equal.
 
 The start-up rows time fresh interpreters: a bare ``python -c pass``,
 ``import stretchlab.cli`` and one small ``classify``, ``matrix``,
@@ -22,6 +24,8 @@ Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--startup-on
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -33,7 +37,7 @@ import time
 from pathlib import Path
 
 import stretchlab
-from stretchlab import _kernels
+from stretchlab import _kernels, cli
 from stretchlab.classify import parity_condition, strip_cyclotomic
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
 from stretchlab.roots import largest_real_root, sturm_chain
@@ -105,7 +109,8 @@ def main():
         [[int(rng.random() < 0.35) for _ in range(6)] for _ in range(6)]
         for _ in range(n_mats)
     ]
-    sharpness_mats = [build_matrix(k).rows for k in (50, 100, 150, 200)]
+    sharpness_ks = (50, 100, 150, 200)
+    sharpness_mats = [build_matrix(k).rows for k in sharpness_ks]
 
     kernels = [
         (f"charpoly 5x5 x{n_mats}", lambda: [_kernels.charpoly(r) for r in charpoly_mats]),
@@ -129,6 +134,22 @@ def main():
     print(f"{'kernel':<38} {'time':>10}")
     for name, job in kernels:
         print(f"{name:<38} {timed(job)[0]:>9.3f}s")
+    t_chi, chis = timed(lambda: [_kernels.charpoly(r) for r in sharpness_mats])
+    assert chis == [expected_char_poly(k).coeffs for k in sharpness_ks]
+    print(f"{'charpoly sharpness k=50..200':<38} {t_chi:>9.3f}s")
+
+    reports = []
+    for k in sharpness_ks:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["sharpness", "--k", str(k)]) == 0
+        reports.append(json.loads(out.getvalue()))
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    t_writer, written = timed(lambda: ["".join(cli._json_chunks(r)) for r in reports])
+    t_encoder, encoded = timed(lambda: ["".join(encoder.iterencode(r)) for r in reports])
+    assert written == encoded, "the streaming writer differs from json.JSONEncoder"
+    print(f"\n{'JSON report':<38} {'writer':>10} {'encoder':>10} {'ratio':>9}")
+    name = "sharpness report JSON k=50..200"
+    print(f"{name:<38} {t_writer:>9.3f}s {t_encoder:>9.3f}s {t_encoder / t_writer:>8.1f}x")
 
     slices = [(3, 1), (3, 2)] if args.quick else [(3, 1), (3, 2), (4, 1)]
     print(f"\n{'search':<38} {'orbits':>10} {'brute':>10} {'ratio':>9}")

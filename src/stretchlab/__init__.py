@@ -59,7 +59,6 @@ _EXPORTS = {
         "instantiate",
         "monotonicity_scan",
         "primitivity_compatible",
-        "quotient_exact",
         "verify_low_degree_exceptions",
     ),
     "matrices": (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from operator import itemgetter
 
 from .errors import CapExceeded
@@ -41,31 +41,39 @@ __all__ = [
 
 
 def _is_upper_hessenberg(rows, n: int) -> bool:
-    return all(rows[i][j] == 0 for i in range(2, n) for j in range(i - 1))
+    return not any(any(rows[i][: i - 1]) for i in range(2, n))
 
 
 def _charpoly_hessenberg(rows, n: int) -> tuple[int, ...]:
-    # det(tI - H) for upper Hessenberg H via the leading-minor recurrence:
-    # p_k = (t - h_kk) p_{k-1} - sum_m h_mk (prod_{j=m..k-1} h_{j+1,j}) p_{m-1}
+    # det(tI - H) for upper Hessenberg H via the leading-minor recurrence
+    # (0-based, s_j = h_{j,j-1}):
+    # p_{c+1} = (t - h_cc) p_c - sum_{r<c} h_rc (s_{r+1} ... s_c) p_r
+    # Only the nonzero h_rc of column c are visited, from the bottom up,
+    # carrying the product of s between them; once it is zero, so is every
+    # term above.
+    cols = list(zip(*rows))
     polys: list[list[int]] = [[1]]
-    for k in range(1, n + 1):
-        h_kk = rows[k - 1][k - 1]
-        prev = polys[k - 1]
-        cur = [0] * (k + 1)
-        for i, c in enumerate(prev):
-            cur[i + 1] += c
-            if h_kk:
-                cur[i] -= h_kk * c
-        prod = 1
-        for m in range(k - 1, 0, -1):
-            prod *= rows[m][m - 1]
-            if prod == 0:
-                break
-            h_mk = rows[m - 1][k - 1]
-            if h_mk:
-                coef = h_mk * prod
-                for i, c in enumerate(polys[m - 1]):
-                    cur[i] -= coef * c
+    for c in range(n):
+        col = cols[c]
+        prev = polys[c]
+        cur = [0, *prev]
+        h = col[c]
+        if h:
+            for i, a in enumerate(prev):
+                cur[i] -= h * a
+        above = col[:c]
+        if any(above):
+            prod = 1
+            top = c
+            for r in compress(range(c - 1, -1, -1), reversed(above)):
+                for j in range(r + 1, top + 1):
+                    prod *= cols[j - 1][j]
+                if prod == 0:
+                    break
+                top = r
+                coef = col[r] * prod
+                for i, a in enumerate(polys[r]):
+                    cur[i] -= coef * a
         polys.append(cur)
     return tuple(polys[n])
 
@@ -101,8 +109,8 @@ def charpoly(rows) -> tuple[int, ...]:
         return (1,)
     if _is_upper_hessenberg(rows, n):
         return _charpoly_hessenberg(rows, n)
-    if _is_upper_hessenberg([[rows[j][i] for j in range(n)] for i in range(n)], n):
-        transposed = [[rows[j][i] for j in range(n)] for i in range(n)]
+    transposed = list(zip(*rows))
+    if _is_upper_hessenberg(transposed, n):
         return _charpoly_hessenberg(transposed, n)
     return _charpoly_berkowitz(rows, n)
 

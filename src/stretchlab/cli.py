@@ -5,8 +5,9 @@ Exit codes: 0 = success, 1 = a checked mathematical property failed
 exceeded budget or cap, 3 = undecided (two enclosures could not be
 separated within the refinement cap, so the check has no answer), 4 =
 internal error: an exception no other code classifies (a KeyError, a
-TypeError, a failed invariant assertion) is a bug, not a verdict, and its
-traceback goes to stderr.
+TypeError, a failed invariant assertion, and also a division by zero, an
+overflow or an inexact polynomial division, which no check makes on
+purpose) is a bug, not a verdict, and its traceback goes to stderr.
 Reports are schema-stable JSON (sorted keys); certified quantities always
 carry their enclosure next to the 10-significant-digit decimal.
 
@@ -19,19 +20,22 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import BudgetExceededError, CapExceeded
+from .poly import InexactDivisionError
 from .roots import DEFAULT_TOL, SeparationError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .matrices import IntMatrix
     from .poly import IntPolynomial
 
@@ -92,14 +96,108 @@ def _parse_range(value: str) -> list[int]:
     return items
 
 
+class _Escapes(dict):
+    """The JSON text of each scalar; a string's is computed once and kept.
+
+    Only strings are kept: True == 1, so an int or bool key would answer
+    for the other.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        if type(value) is not str:
+            return _scalar(value)
+        text = self[value] = encode_basestring_ascii(value)
+        return text
+
+
+def _scalar(value) -> str:
+    """The JSON text of a str, None, bool or int, tested in ``json``'s order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in pieces.
+
+    ``obj`` is built from dicts with str keys, lists, str, int, bool and
+    None; any other type raises TypeError.  A list with no container item
+    is one piece, joined from C-level escapes, so a matrix row costs no
+    Python step per entry; a dict item is one piece, and a container item
+    streams its own pieces.
+    """
+    escape = _Escapes().__getitem__
+    encode_str, scalar, containers = encode_basestring_ascii, _scalar, (dict, list)
+
+    def encode(o, nl):
+        inner = nl + "  "
+        if isinstance(o, dict):
+            if not o:
+                yield "{}"
+                return
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                head = sep + encode_str(key) + ": "
+                if isinstance(value, containers):
+                    yield head
+                    yield from encode(value, inner)
+                else:
+                    yield head + scalar(value)
+                sep = "," + inner
+            yield nl + "}"
+        elif isinstance(o, list):
+            if not o:
+                yield "[]"
+                return
+            try:
+                text = "[" + inner + ("," + inner).join(map(escape, o)) + nl + "]"
+            except TypeError:  # a container item, or a type the loop below rejects
+                pass
+            else:
+                yield text
+                return
+            sep = "[" + inner
+            for item in o:
+                if isinstance(item, containers):
+                    yield sep
+                    yield from encode(item, inner)
+                else:
+                    yield sep + scalar(item)
+                sep = "," + inner
+            yield nl + "]"
+        else:
+            yield scalar(o)
+
+    return encode(obj, "\n")
+
+
 def _emit(payload: dict, args) -> None:
+    """Write the report to ``--out`` or stdout as json, csv or text.
+
+    JSON goes through ``_json_chunks``, not ``json.JSONEncoder``: with
+    ``indent`` set, CPython's encoder takes its pure-Python path, one
+    generator step per value, which for the k = 200 sharpness matrix
+    (160,000 entries) cost more than certifying it.  The bytes are those of
+    ``json.dumps(payload, indent=2, sort_keys=True)``.  The pieces are
+    written as they come, about one matrix row each, and the stream's buffer
+    batches them: the report is never held as one string, which for an
+    MB-sized report would double the peak memory.
+    """
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        # Streamed in batches of encoder chunks: one joined string of an
-        # MB-sized report (the k = 200 sharpness matrix) would double the
-        # peak memory, and one write per chunk costs more than the encoding.
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-        batches = iter(lambda: "".join(itertools.islice(chunks, 4096)), "")
+        chunks = _json_chunks(payload)
     elif fmt == "csv":
         rows = payload.get("table")
         if rows is None:
@@ -107,13 +205,12 @@ def _emit(payload: dict, args) -> None:
         header = list(rows[0].keys()) if rows else []
         lines = [",".join(header)]
         lines += [",".join(str(r[h]) for h in header) for r in rows]
-        batches = ["\n".join(lines)]
+        chunks = ["\n".join(lines)]
     else:  # text
-        batches = ["\n".join(_as_text(payload))]
+        chunks = ["\n".join(_as_text(payload))]
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
-        for batch in batches:
-            stream.write(batch)
+        stream.writelines(chunks)
         stream.write("\n")
 
 
@@ -174,7 +271,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_matrix(args) -> int:
     from .classify import classify
-    from .matrices import char_poly, is_primitive, normalized_spectral_radius, spectral_radius
+    from .matrices import (
+        PerronPreconditionError,
+        char_poly,
+        is_primitive,
+        normalized_spectral_radius,
+        spectral_radius,
+    )
     from .poly import poly_to_json
 
     m = _parse_matrix(args.file or args.matrix)
@@ -201,7 +304,7 @@ def _cmd_matrix(args) -> int:
         payload["normalized_spectral_radius"] = normalized_spectral_radius(
             m, args.tol, rho
         ).to_json()
-    except ArithmeticError as exc:
+    except PerronPreconditionError as exc:
         payload["spectral_radius"] = None
         payload["normalized_spectral_radius"] = None
         payload["spectral_radius_error"] = str(exc)
@@ -277,6 +380,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
+    from .matrices import matrix_to_json
     from .poly import poly_to_json
     from .roots import silver_ratio_squared
     from .sharpness import build_example
@@ -305,7 +409,7 @@ def _cmd_sharpness(args) -> int:
         "p_k": ex.p_k,
         "q_k": ex.q_k,
         "char_poly": poly_to_json(ex.char_poly),
-        "matrix": [list(map(str, row)) for row in ex.matrix.rows],
+        "matrix": matrix_to_json(ex.matrix)["rows"],
         "root": ex.root.to_json(),
         "normalized": ex.normalized.to_json(),
         "exceeds_bound": True,  # build_example certifies this
@@ -333,6 +437,7 @@ def _check_threads(threads: int) -> None:
 
 
 def _cmd_search(args) -> int:
+    from .matrices import matrix_to_json
     from .roots import silver_ratio_squared
     from .search import SearchConfig, run_search
 
@@ -361,7 +466,7 @@ def _cmd_search(args) -> int:
         else {
             "char_poly": str(result.minimum.char_poly),
             "normalized": result.minimum.normalized.decimal(),
-            "matrix": [[str(e) for e in row] for row in result.minimum.least_matrix.rows],
+            "matrix": matrix_to_json(result.minimum.least_matrix)["rows"],
         },
         "violations": [
             {
@@ -639,6 +744,9 @@ def main(argv=None) -> int:
         # the certified comparison ran out of refinements: neither pass nor fail
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
+    except (ZeroDivisionError, OverflowError, InexactDivisionError):
+        # no check divides by zero, overflows or divides inexactly on purpose
+        return _internal_error()
     except ArithmeticError as exc:
         # a mathematical check could not be completed or failed outright
         print(f"check failed: {exc}", file=sys.stderr)
@@ -647,10 +755,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
-        import traceback
+        return _internal_error()
 
-        traceback.print_exc()
-        return 4
+
+def _internal_error() -> int:
+    """Print the exception being handled, a bug rather than a verdict; exit 4."""
+    import traceback
+
+    traceback.print_exc()
+    return 4
 
 
 if __name__ == "__main__":

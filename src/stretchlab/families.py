@@ -28,7 +28,7 @@ from .classify import (
     parity_condition,
     strip_cyclotomic,
 )
-from .poly import IntPolynomial, exact_div
+from .poly import IntPolynomial
 from .roots import (
     DEFAULT_TOL,
     RootEnclosure,
@@ -43,10 +43,6 @@ from .roots import (
 A_ONE_SIZES = {"2A1": 2, "3A1": 3, "4A1": 4, "5A1": 5}
 ALL_FORMS = ("2A1", "3A1", "4A1", "5A1", "AStar2")
 DEGREE_CAP = 16
-
-# re-exported here because the case analyses quote exact quotients R(t)
-quotient_exact = exact_div
-
 
 class FamilyForm(Immutable):
     """One parameter choice for one of the five shapes.

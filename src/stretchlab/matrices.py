@@ -97,7 +97,9 @@ def identity(n: int) -> IntMatrix:
 
 
 def matrix_to_json(a: IntMatrix) -> dict:
-    return {"rows": [[str(e) for e in row] for row in a.rows]}
+    """Entries as decimal strings; ``str`` runs once per distinct entry."""
+    text = {e: str(e) for e in set().union(*a.rows)}
+    return {"rows": [list(map(text.__getitem__, row)) for row in a.rows]}
 
 
 def matrix_from_json(data: dict) -> IntMatrix:

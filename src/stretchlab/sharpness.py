@@ -125,24 +125,3 @@ def convergence_table(k_max: int, tol: Fraction = DEFAULT_TOL) -> list[Convergen
         example = build_example(k, tol)
         rows.append(ConvergenceRow(k=k, p_k=example.p_k, normalized=example.normalized))
     return rows
-
-
-def conjectured_minimum(k: int, tol: Fraction = DEFAULT_TOL) -> ValueInterval:
-    """Normalized largest root of the conjectured minimizing polynomial.
-
-    This is by construction the same polynomial as the k-th example's
-    characteristic polynomial, so the values agree exactly.
-    """
-    poly = expected_char_poly(k)
-    return largest_real_root(poly, tol).powered(2 * k)
-
-
-def verify_conjecture_values(k_max: int, tol: Fraction = DEFAULT_TOL) -> list[tuple[int, ValueInterval]]:
-    """(k, conjectured minimum) rows, asserting equality with the built family."""
-    out = []
-    for k in range(2, k_max + 1):
-        example = build_example(k, tol)
-        if example.char_poly != expected_char_poly(k):
-            raise SharpnessInvariantError(f"conjecture polynomial mismatch at k={k}")
-        out.append((k, example.normalized))
-    return out

@@ -6,15 +6,17 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stretchlab.cli
 import stretchlab.matrices
 import stretchlab.roots
 import stretchlab.search
 import stretchlab.sharpness
-from stretchlab.cli import main
+from stretchlab.cli import _json_chunks, main
 from stretchlab.matrices import IntMatrix, normalized_spectral_radius, spectral_radius
-from stretchlab.poly import IntPolynomial
+from stretchlab.poly import InexactDivisionError, IntPolynomial
 from stretchlab.roots import RootEnclosure, ValueInterval
 from stretchlab.sharpness import expected_char_poly
 
@@ -242,7 +244,17 @@ def test_undecided_comparison_exits_3(monkeypatch, capsys):
     assert captured.err == "undecided: enclosures neither separate nor share a certified root\n"
 
 
-@pytest.mark.parametrize("error", [KeyError("coeffs"), AssertionError("invariant")])
+@pytest.mark.parametrize(
+    "error",
+    [
+        KeyError("coeffs"),
+        AssertionError("invariant"),
+        # ArithmeticErrors that no check raises on purpose: bugs, not failed checks
+        ZeroDivisionError("polynomial division by the zero polynomial"),
+        OverflowError("int too large"),
+        InexactDivisionError("division is not exact over the integers"),
+    ],
+)
 def test_internal_error_exits_4_with_traceback(error, monkeypatch, capsys):
     def broken(args):
         raise error
@@ -410,3 +422,104 @@ def test_out_flag_writes_file(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert target.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert payload["skew_reciprocal"] == -1
+
+
+def test_matrix_without_a_real_perron_root_reports_it(capsys):
+    code, out = run_cli(capsys, "matrix", "--matrix", '{"rows":[[0,-1],[1,0]]}')
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["spectral_radius"] is None
+    assert "spectral radius is not a real root" in payload["spectral_radius_error"]
+
+
+def test_matrix_spectral_radius_bug_is_not_reported_as_data(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(stretchlab.matrices, "spectral_radius", broken)
+    assert main(["matrix", "--matrix", '{"rows":[[1,1],[1,0]]}']) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("ZeroDivisionError: division by zero\n")
+
+
+# -- the JSON writer --------------------------------------------------------
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | st.text()
+    | st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text(max_size=8), children, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+@example([True, 1, False, 0, None, "1", "true"])
+@example({"a": [1, True], "b": {"c": [], "d": {}}, "": [[], [{}], [[1]]]})
+@example(["\x00\"\\ \u00e9 \U0001f600", 2**64, -(2**64) - 1, [2**200]])
+@example([])
+@example({})
+@example("lone string")
+def test_json_writer_matches_json_dumps(tree):
+    assert "".join(_json_chunks(tree)) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), {1: "a"}, [1, 2.0], {"a": {"b": [object()]}}],
+    ids=["float", "tuple", "int-key", "float-in-list", "nested-object"],
+)
+def test_json_writer_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        "".join(_json_chunks(value))
+
+
+def test_sharpness_k200_streams_about_one_matrix_row_per_chunk(monkeypatch, capsys):
+    sizes = []
+
+    def recorded(obj):
+        for chunk in _json_chunks(obj):
+            sizes.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(stretchlab.cli, "_json_chunks", recorded)
+    code, out = run_cli(capsys, "sharpness", "--k", "200")
+    assert code == 0
+    payload = json.loads(out)
+    matrix = payload["matrix"]
+
+    def indented(items):  # a scalar list at depth 2, one entry per line
+        return len("[\n      " + ",\n      ".join(map(json.dumps, items)) + "\n    ]")
+
+    # the longest pieces: a matrix row, or the 2k + 1 char poly coefficients
+    bound = max(indented(payload["char_poly"]["coeffs"]), *map(indented, matrix))
+    assert max(sizes) <= bound < 2 * indented(matrix[0])
+    assert len(sizes) > len(matrix)
+    assert sum(sizes) + 1 == len(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharpness", "--k", "30"],
+        ["sharpness", "--table", "2..6", "--format", "csv"],
+        ["sharpness", "--table", "2..6", "--format", "text"],
+    ],
+    ids=["json", "csv", "text"],
+)
+def test_out_flag_writes_the_bytes_of_stdout(argv, tmp_path, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "")
+    assert target.read_bytes() == out.encode()

@@ -16,10 +16,9 @@ from stretchlab.families import (
     instantiate,
     monotonicity_scan,
     primitivity_compatible,
-    quotient_exact,
     verify_low_degree_exceptions,
 )
-from stretchlab.poly import InexactDivisionError, IntPolynomial
+from stretchlab.poly import InexactDivisionError, IntPolynomial, exact_div
 from stretchlab.roots import compare_power_to_silver_squared
 
 P = IntPolynomial
@@ -203,10 +202,10 @@ def test_enumerate_matches_the_full_report_filter(n):
 
 
 def test_quotient_exact_examples():
-    assert quotient_exact(P((-1, -2, 0, 1)), P((1, 1))) == P((-1, -1, 1))
-    assert quotient_exact(P((-1, -2, -1, 0, 1)), P((1, 1, 1))) == P((-1, -1, 1))
+    assert exact_div(P((-1, -2, 0, 1)), P((1, 1))) == P((-1, -1, 1))
+    assert exact_div(P((-1, -2, -1, 0, 1)), P((1, 1, 1))) == P((-1, -1, 1))
     with pytest.raises(InexactDivisionError) as err:
-        quotient_exact(P((-1, -1, 0, 0, 0, -1, 1)), P((1, 0, 1)))
+        exact_div(P((-1, -1, 0, 0, 0, -1, 1)), P((1, 0, 1)))
     assert not err.value.remainder.is_zero()
 
 

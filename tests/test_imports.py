@@ -31,7 +31,7 @@ EXPORTED = (
     "exact_div families growth_rate in_glnz instantiate is_primitive is_reciprocal "
     "is_salem_like is_skew_reciprocal is_skew_reciprocal_up_to_cyclotomic "
     "largest_real_root matrices monotonicity_scan normalized_spectral_radius "
-    "parity_condition poly primitivity_compatible quotient_exact radical "
+    "parity_condition poly primitivity_compatible radical "
     "radical_elements real_roots_in_interval roots run_search search sharpness "
     "silver_ratio_squared simple_cycles spectral_radius sqrt_min_poly strip_cyclotomic "
     "thurston_form traintrack unit_circle_root_count verify_block_structure "

@@ -1,4 +1,5 @@
-"""The hot kernels: caps, decoding, the search filter and digraph structure."""
+"""The hot kernels: caps, decoding, the search filter, digraph structure and the
+characteristic polynomial."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from stretchlab import _kernels
 from stretchlab._kernels import BACKEND, CapExceeded
 from stretchlab.matrices import IntMatrix, determinant, wielandt_positive
+from stretchlab.sharpness import build_matrix, expected_char_poly
 
 
 def test_caps_raise():
@@ -86,3 +88,55 @@ def test_digraph_structure_known_values():
 def test_backend_label():
     # the benchmark's start-up probe and `--version` read it
     assert BACKEND == "pure"
+
+
+def _old_is_upper_hessenberg(rows, n):
+    """The all-pairs definition the slice test replaced."""
+    return all(rows[i][j] == 0 for i in range(2, n) for j in range(i - 1))
+
+
+def test_slice_hessenberg_test_matches_all_pairs_definition():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        # mostly zero below the subdiagonal, so both answers occur often
+        rows = [
+            [rng.randint(-3, 3) if j >= i - 1 or rng.random() < 0.04 else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        assert _kernels._is_upper_hessenberg(rows, n) == _old_is_upper_hessenberg(rows, n), rows
+
+
+def _random_upper_hessenberg(rng, n):
+    def entry():
+        kind = rng.random()
+        if kind < 0.5:
+            return 0
+        if kind < 0.9:
+            return rng.randint(-5, 5)
+        return rng.choice((-1, 1)) * rng.randint(2**40, 2**70)
+
+    rows = [[entry() if j >= i else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        # a zero subdiagonal entry cuts the recurrence; make it common
+        rows[i][i - 1] = 0 if rng.random() < 0.3 else entry()
+    return rows
+
+
+def test_nonzero_only_hessenberg_recurrence_matches_berkowitz():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for _ in range(25):
+            rows = _random_upper_hessenberg(rng, n)
+            expected = _kernels._charpoly_berkowitz(rows, n)
+            assert _kernels._charpoly_hessenberg(rows, n) == expected, rows
+            assert _kernels.charpoly(rows) == expected, rows
+            # the transpose is lower Hessenberg, with the same char poly
+            transposed = [list(col) for col in zip(*rows)]
+            assert _kernels.charpoly(transposed) == expected, rows
+            assert _kernels._charpoly_berkowitz(transposed, n) == expected, rows
+
+
+def test_charpoly_of_the_sharpness_family():
+    for k in range(2, 61):
+        assert _kernels.charpoly(build_matrix(k).rows) == expected_char_poly(k).coeffs, k

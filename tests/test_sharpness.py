@@ -8,15 +8,13 @@ import sympy
 from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
 from stretchlab.matrices import char_poly, determinant, is_primitive
 from stretchlab.poly import IntPolynomial
-from stretchlab.roots import compare_enclosures
+from stretchlab.roots import compare_enclosures, largest_real_root
 from stretchlab.sharpness import (
     build_example,
     build_matrix,
-    conjectured_minimum,
     convergence_table,
     expected_char_poly,
     silver_parameters,
-    verify_conjecture_values,
 )
 
 P = IntPolynomial
@@ -89,19 +87,27 @@ def test_normalized_equation_is_the_char_poly():
         assert P([int(c) for c in reversed(coeffs)]) == expected_char_poly(k), k
 
 
+def conjectured_minimum(k):
+    """The normalized largest root of the conjectured minimizer, without the matrix."""
+    return largest_real_root(expected_char_poly(k)).powered(2 * k)
+
+
 def test_conjectured_minimum_equals_family_value():
     for k in (2, 3, 4):
         ex = build_example(k)
         conj = conjectured_minimum(k)
         assert ex.char_poly == expected_char_poly(k)
-        assert conj.lo <= ex.normalized.hi and ex.normalized.lo <= conj.hi
+        # the same polynomial at the same tol: the same enclosure, exactly
+        assert (conj.lo, conj.hi) == (ex.normalized.lo, ex.normalized.hi)
     assert abs(float(conjectured_minimum(2)) - MU4) < 1e-9
     assert abs(float(conjectured_minimum(3)) - 8.186) < 5e-3
 
 
 def test_verify_conjecture_values_rows():
-    rows = verify_conjecture_values(6)
-    assert [k for k, _ in rows] == [2, 3, 4, 5, 6]
+    rows = [(k, build_example(k).normalized) for k in range(2, 7)]
+    for k, normalized in rows:
+        conj = conjectured_minimum(k)
+        assert (conj.lo, conj.hi) == (normalized.lo, normalized.hi)
     assert abs(float(rows[0][1]) - MU4) < 1e-9
 
 
