@@ -15,8 +15,9 @@ polynomials.  The JSON row times the CLI's streaming writer and
 reports.  Each row's results are asserted equal.
 
 The start-up rows time fresh interpreters: a bare ``python -c pass``,
-``import stretchlab.cli`` and one small ``classify``, ``matrix``,
-``curve-graph`` and ``traintrack`` query, each the median of several runs.
+``import stretchlab.cli``, one small ``classify``, ``matrix``,
+``curve-graph`` and ``traintrack`` query and ``repro set-theorem``, each the
+median of several runs.
 They inherit the environment, so ``PYTHONDONTWRITEBYTECODE=1`` makes every
 run compile the sources it imports, as each operation of ``perfbench`` does.
 
@@ -39,7 +40,9 @@ from pathlib import Path
 import stretchlab
 from stretchlab import _kernels, cli
 from stretchlab.classify import parity_condition, strip_cyclotomic
+from stretchlab.curvegraph import verify_clique_identity
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
+from stretchlab.matrices import IntMatrix
 from stretchlab.roots import largest_real_root, sturm_chain
 from stretchlab.search import SearchConfig, run_search
 from stretchlab.sharpness import build_matrix, expected_char_poly
@@ -73,6 +76,7 @@ def startup_rows(runs: int) -> None:
             ("matrix 4x4", cli + ["matrix", "--matrix", matrix]),
             ("curve-graph 4x4", cli + ["curve-graph", "--matrix", matrix]),
             ("traintrack bigon", cli + ["traintrack", "--file", str(track)]),
+            ("repro set-theorem", cli + ["repro", "set-theorem"]),
         ]
         bytecode = "off" if env.get("PYTHONDONTWRITEBYTECODE") else "on"
         print(f"{'start-up (bytecode writes ' + bytecode + ')':<38} {'median':>10} {'runs':>5}")
@@ -109,6 +113,7 @@ def main():
         [[int(rng.random() < 0.35) for _ in range(6)] for _ in range(6)]
         for _ in range(n_mats)
     ]
+    clique_matrices = [IntMatrix(r) for r in clique_mats]
     sharpness_ks = (50, 100, 150, 200)
     sharpness_mats = [build_matrix(k).rows for k in sharpness_ks]
 
@@ -116,7 +121,7 @@ def main():
         (f"charpoly 5x5 x{n_mats}", lambda: [_kernels.charpoly(r) for r in charpoly_mats]),
         (
             f"clique identity 4x4 x{len(clique_mats)}",
-            lambda: [_kernels.clique_identity_holds(r, 10**5, 10**6) for r in clique_mats],
+            lambda: [verify_clique_identity(m) for m in clique_matrices],
         ),
         (
             f"cycle classes 4x4 x{len(clique_mats)}",

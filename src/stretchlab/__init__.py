@@ -40,6 +40,12 @@ from .classify import (
 
 __version__ = "0.1.0"
 
+#: What a finite check shows, stated in every report of a paper-level claim.
+SCOPE_NOTE = (
+    "finite desk-scale verification; the underlying theorems cover all "
+    "dimensions n >= 4 and all k"
+)
+
 #: Submodule -> the public names the package re-exports from it on first use.
 _EXPORTS = {
     "curvegraph": (

@@ -27,7 +27,6 @@ __all__ = [
     "digraph_structure",
     "simple_cycle_classes",
     "clique_polynomial_from_classes",
-    "clique_identity_holds",
     "decode_matrix",
     "primitive_unit_det_charpoly",
     "canonical_codes",
@@ -288,14 +287,6 @@ def clique_polynomial_from_classes(classes, n: int, guard: int) -> tuple[int, ..
 
     rec(0, 0, -1, 0, 1)
     return tuple(coeffs)
-
-
-def clique_identity_holds(rows, cap: int, guard: int) -> bool:
-    """Whether the clique polynomial equals t^n chi(1/t) exactly."""
-    n = len(rows)
-    q = clique_polynomial_from_classes(simple_cycle_classes(rows, cap), n, guard)
-    chi = charpoly(rows)
-    return all(q[i] == chi[n - i] for i in range(n + 1))
 
 
 # -- exhaustive search: one matrix per orbit ----------------------------

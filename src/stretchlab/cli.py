@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 = success, 1 = a checked mathematical property failed
-(a violation found, a bound check failed), 2 = input or parse error or an
-exceeded budget or cap, 3 = undecided (two enclosures could not be
-separated within the refinement cap, so the check has no answer), 4 =
-internal error: an exception no other code classifies (a KeyError, a
-TypeError, a failed invariant assertion, and also a division by zero, an
-overflow or an inexact polynomial division, which no check makes on
-purpose) is a bug, not a verdict, and its traceback goes to stderr.
+Exit codes: 0 = success, 1 = a checked mathematical property failed (a
+violation found, a bound check failed, or an ``errors.CheckFailed``: no
+real root, a sharpness invariant, a growth rate or a Perron precondition),
+2 = input or parse error or an exceeded budget or cap, 3 = undecided (two
+enclosures could not be separated within the refinement cap, so the check
+has no answer), 4 = internal error: any other exception (a KeyError, a
+failed invariant assertion, and also any other ArithmeticError, such as a
+division by zero or an inexact polynomial division, which no check makes
+on purpose) is a bug, not a verdict, and its traceback goes to stderr.
 Reports are schema-stable JSON (sorted keys); certified quantities always
 carry their enclosure next to the 10-significant-digit decimal.
 
@@ -28,21 +29,12 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
-from .errors import BudgetExceededError, CapExceeded
-from .poly import InexactDivisionError
+from . import SCOPE_NOTE, __version__
+from .errors import BudgetExceededError, CapExceeded, CheckFailed
 from .roots import DEFAULT_TOL, SeparationError
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
-
-    from .matrices import IntMatrix
-    from .poly import IntPolynomial
-
-SCOPE_NOTE = (
-    "finite desk-scale verification; the underlying theorems cover all "
-    "dimensions n >= 4 and all k"
-)
+    from collections.abc import Callable, Iterator
 
 
 class InputError(ValueError):
@@ -61,24 +53,13 @@ def _load_json_arg(value: str) -> dict:
         raise InputError(f"not valid JSON (inline or file): {exc}") from exc
 
 
-def _parse_poly(value: str) -> IntPolynomial:
-    from .poly import poly_from_json
-
+def _parse_json_arg(value: str, from_json: Callable, what: str):
+    """``from_json`` of inline JSON or a JSON file; a bad ``what`` is an input error."""
     data = _load_json_arg(value)
     try:
-        return poly_from_json(data)
+        return from_json(data)
     except (ValueError, TypeError) as exc:
-        raise InputError(f"bad polynomial: {exc}") from exc
-
-
-def _parse_matrix(value: str) -> IntMatrix:
-    from .matrices import matrix_from_json
-
-    data = _load_json_arg(value)
-    try:
-        return matrix_from_json(data)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad matrix: {exc}") from exc
+        raise InputError(f"bad {what}: {exc}") from exc
 
 
 def _parse_range(value: str) -> list[int]:
@@ -238,11 +219,14 @@ def _as_text(payload, prefix="") -> list[str]:
 def _spectral_class_json(sc, tol: Fraction, root=None) -> dict:
     """The classify report; ``root`` is the largest real root when already known."""
     from .poly import poly_to_json
-    from .roots import cauchy_root_bound, largest_real_root, real_roots_in_interval
+    from .roots import NoRealRootError, largest_real_root
 
     p = sc.polynomial
-    if root is None and p.degree() >= 1 and real_roots_in_interval(p, 0, cauchy_root_bound(p)) >= 1:
-        root = largest_real_root(p, tol)
+    if root is None:
+        try:
+            root = largest_real_root(p, tol)
+        except NoRealRootError:  # no root in (0, bound]: nothing to report
+            pass
     return {
         "polynomial": poly_to_json(p),
         "reciprocal": sc.reciprocal,
@@ -261,8 +245,9 @@ def _spectral_class_json(sc, tol: Fraction, root=None) -> dict:
 
 def _cmd_classify(args) -> int:
     from .classify import classify
+    from .poly import poly_from_json
 
-    p = _parse_poly(args.poly)
+    p = _parse_json_arg(args.poly, poly_from_json, "polynomial")
     if p.is_zero():
         raise InputError("cannot classify the zero polynomial")
     _emit(_spectral_class_json(classify(p), args.tol), args)
@@ -275,12 +260,13 @@ def _cmd_matrix(args) -> int:
         PerronPreconditionError,
         char_poly,
         is_primitive,
+        matrix_from_json,
         normalized_spectral_radius,
         spectral_radius,
     )
     from .poly import poly_to_json
 
-    m = _parse_matrix(args.file or args.matrix)
+    m = _parse_json_arg(args.matrix, matrix_from_json, "matrix")
     report = is_primitive(m)
     chi = char_poly(m)
     det = (-1) ** m.n * chi.constant_term()
@@ -315,8 +301,9 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_curve_graph(args) -> int:
     from .curvegraph import curve_graph_report
+    from .matrices import matrix_from_json
 
-    m = _parse_matrix(args.matrix or args.file)
+    m = _parse_json_arg(args.matrix, matrix_from_json, "matrix")
     if not m.is_nonnegative():
         raise InputError("curve graphs need a nonnegative matrix")
     payload = curve_graph_report(m, args.tol)
@@ -386,7 +373,7 @@ def _cmd_sharpness(args) -> int:
     from .sharpness import build_example
 
     tol = args.tol
-    if args.table:
+    if args.table is not None:
         ks = _parse_range(args.table)
         rows = []
         for k in ks:
@@ -483,157 +470,16 @@ def _cmd_search(args) -> int:
     return 1 if (args.n >= 4 and result.violations) else 0
 
 
-# -- reproduction targets -------------------------------------------------
-
-
-def _repro_set_theorem(tol: Fraction) -> tuple[dict, bool]:
-    from .classify import is_salem_like, sqrt_min_poly
-    from .poly import IntPolynomial
-    from .roots import compare_enclosures, largest_real_root, unit_circle_root_count
-
-    checks = []
-
-    mu = largest_real_root(IntPolynomial((-1, -1, 1)), tol)
-    sigma = largest_real_root(IntPolynomial((-1, -2, 1)), tol)
-    mu2 = largest_real_root(IntPolynomial((1, -3, 1)), tol)
-    ordering = (
-        compare_enclosures(mu, sigma) == -1 and compare_enclosures(sigma, mu2) == -1
-    )
-    checks.append(
-        {
-            "check": "ordering mu < sigma < mu^2",
-            "values": [mu.decimal(), sigma.decimal(), mu2.decimal()],
-            "pass": ordering,
-        }
-    )
-
-    q4, irr4 = sqrt_min_poly(4, 1)
-    q5, irr5 = sqrt_min_poly(5, 1)
-    q3, irr3 = sqrt_min_poly(3, 1)
-    factor_check = IntPolynomial((-1, -1, 1)) * IntPolynomial((-1, 1, 1)) == q3
-    checks.append(
-        {
-            "check": "square-root minimal polynomials",
-            "values": [str(q4), str(q5), f"{q3} reducible"],
-            "pass": irr4 and irr5 and (not irr3) and factor_check,
-        }
-    )
-
-    lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
-    lt = IntPolynomial((1, -1, -1, -1, 1))
-    counts = (unit_circle_root_count(lehmer), unit_circle_root_count(lt))
-    salem = is_salem_like(lehmer) and is_salem_like(lt)
-    checks.append(
-        {
-            "check": "salem property and unit-circle counts (8, 2)",
-            "values": list(counts),
-            "pass": salem and counts == (8, 2),
-        }
-    )
-
-    lehmer9 = largest_real_root(lehmer, tol).powered(9)
-    lt3 = largest_real_root(lt, tol).powered(3)
-    near = (
-        abs(lehmer9.midpoint - Fraction("4.311")) < Fraction(1, 1000)
-        and abs(lt3.midpoint - Fraction("5.107")) < Fraction(1, 1000)
-    )
-    checks.append(
-        {
-            "check": "normalized values ~4.311 and ~5.107",
-            "values": [lehmer9.decimal(), lt3.decimal()],
-            "pass": near,
-        }
-    )
-    ok = all(c["pass"] for c in checks)
-    return {"target": "set-theorem", "checks": checks, "pass": ok}, ok
-
-
-def _repro_thm_main(tol: Fraction, threads: int) -> tuple[dict, bool]:
-    from .families import enumerate_admissible, verify_low_degree_exceptions
-    from .poly import IntPolynomial
-    from .roots import compare_enclosures, compare_power_to_silver_squared, largest_real_root
-    from .search import SearchConfig, run_search
-    from .sharpness import build_example, convergence_table
-
-    checks = []
-    mu = largest_real_root(IntPolynomial((-1, -1, 1)), tol)
-
-    minima = {}
-    ok_family = True
-    at4 = False
-    for n in (4, 5, 6, 7, 8, 9, 10, 12):
-        reports = enumerate_admissible(n, tol=tol)
-        if not reports:
-            minima[str(n)] = None
-            continue
-        minima[str(n)] = reports[0].normalized.decimal()
-        if compare_power_to_silver_squared(reports[0].root, n) < 0:
-            ok_family = False
-        if n == 4:
-            at4 = compare_enclosures(reports[0].root, mu) == 0
-    ok_family = ok_family and at4
-    checks.append(
-        {
-            "check": "family minima >= 5.8284271247 (n=4 minimum = mu^4)",
-            "values": minima,
-            "pass": ok_family,
-        }
-    )
-
-    result = run_search(SearchConfig(n=4, max_entry=1, tol=tol), threads=threads)
-    ok_search = not result.violations and result.minimum is not None
-    checks.append(
-        {
-            "check": "exhaustive n=4, entries {0,1}: zero violations",
-            "values": {
-                "qualifying": result.count_qualifying,
-                "minimum": result.minimum.normalized.decimal() if result.minimum else None,
-            },
-            "pass": ok_search,
-        }
-    )
-
-    rows = convergence_table(40, tol)
-    # convergence_table raises unless every row is built and certified
-    ok_sharp = compare_enclosures(build_example(2, tol).root, mu) == 0
-    checks.append(
-        {
-            "check": "sharpness family k=2..40 built and certified above the bound",
-            "values": {"P_2": rows[0].normalized.decimal(), "P_40": rows[-1].normalized.decimal()},
-            "pass": ok_sharp,
-        }
-    )
-
-    low = verify_low_degree_exceptions(tol)
-    checks.append(
-        {
-            "check": "low-degree exceptions mu^2, mu^3 below the bound",
-            "values": {"mu^2": low.mu_squared.decimal(), "mu^3": low.mu_cubed.decimal()},
-            "pass": low.ok,
-        }
-    )
-
-    ok = all(c["pass"] for c in checks)
-    payload = {
-        "target": "thm-main",
-        "bound": "5.8284271247",
-        "checks": checks,
-        "pass": ok,
-        "scope_note": SCOPE_NOTE,
-    }
-    return payload, ok
-
-
 def _cmd_repro(args) -> int:
+    from . import repro
+
     _check_threads(args.threads)
-    if args.target == "set-theorem":
-        payload, ok = _repro_set_theorem(args.tol)
-    elif args.target == "thm-main":
-        payload, ok = _repro_thm_main(args.tol, args.threads)
+    if args.target == "thm-main":
+        payload = repro.thm_main(args.tol, args.threads)
     else:
-        raise InputError(f"unknown repro target {args.target!r}")
+        payload = repro.set_theorem(args.tol)
     _emit(payload, args)
-    return 0 if ok else 1
+    return 0 if payload["pass"] else 1
 
 
 # -- parser ---------------------------------------------------------------
@@ -673,16 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_classify)
 
+    matrix_help = 'matrix JSON, inline or a path: {"rows": [["a11", ...], ...]}'
+
     p = sub.add_parser("matrix", help="analyze one integer matrix")
-    p.add_argument("--file", help="path to matrix JSON")
-    p.add_argument("--matrix", help="inline matrix JSON")
+    p.add_argument("--matrix", "--file", required=True, help=matrix_help)
     p.add_argument("--analyze", action="store_true", help="accepted for compatibility; analysis always runs")
     common(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("curve-graph", help="curve graph, clique polynomial, growth rate")
-    p.add_argument("--matrix", help="matrix JSON (inline or path)")
-    p.add_argument("--file", help="path to matrix JSON")
+    p.add_argument("--matrix", "--file", required=True, help=matrix_help)
     common(p)
     p.set_defaults(func=_cmd_curve_graph)
 
@@ -696,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("sharpness", help="the 2k x 2k family approaching the bound")
-    p.add_argument("--k", type=int)
-    p.add_argument("--table", help="range of k, e.g. 2..40")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--k", type=int)
+    which.add_argument("--table", help="range of k, e.g. 2..40")
     common(p)
     p.set_defaults(func=_cmd_sharpness)
 
@@ -724,46 +571,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "matrix" and not (args.file or args.matrix):
-        parser.error("matrix: one of --file/--matrix is required")
-    if args.command == "curve-graph" and not (args.matrix or args.file):
-        parser.error("curve-graph: one of --matrix/--file is required")
-    if args.command == "sharpness" and args.k is None and not args.table:
-        parser.error("sharpness: one of --k/--table is required")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceededError, CapExceeded) as exc:
+    except (ValueError, OSError, BudgetExceededError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SeparationError as exc:
         # the certified comparison ran out of refinements: neither pass nor fail
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
-    except (ZeroDivisionError, OverflowError, InexactDivisionError):
-        # no check divides by zero, overflows or divides inexactly on purpose
-        return _internal_error()
-    except ArithmeticError as exc:
-        # a mathematical check could not be completed or failed outright
+    except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception:
-        return _internal_error()
+        # any other exception, ArithmeticErrors included, is a bug, not a verdict
+        import traceback
 
-
-def _internal_error() -> int:
-    """Print the exception being handled, a bug rather than a verdict; exit 4."""
-    import traceback
-
-    traceback.print_exc()
-    return 4
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

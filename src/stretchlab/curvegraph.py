@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from ._immutable import Immutable, set_field
+from .errors import CheckFailed
 from .matrices import IntMatrix, char_poly
 from .poly import IntPolynomial
 from .roots import (
@@ -38,7 +39,7 @@ DEFAULT_CLIQUE_GUARD = 10**6
 CapExceeded = _kernels.CapExceeded
 
 
-class GrowthRateError(ArithmeticError):
+class GrowthRateError(CheckFailed):
     """The clique polynomial has no root in (0, 1): growth rate <= 1."""
 
 
@@ -142,9 +143,8 @@ def verify_clique_identity(
     guard: int = DEFAULT_CLIQUE_GUARD,
 ) -> bool:
     """Exact check of Q(t) = t^n chi_A(1/t)."""
-    if not a.is_nonnegative():
-        raise ValueError("clique identity needs a nonnegative matrix")
-    return _kernels.clique_identity_holds(a.rows, cap, guard)
+    q = _kernels.clique_polynomial_from_classes(cycle_classes(a, cap), a.n, guard)
+    return IntPolynomial(q) == char_poly(a).reverse()
 
 
 def growth_rate(g: CurveGraph, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:

@@ -1,9 +1,14 @@
-"""Resource guards raised by the kernels and the search driver.
+"""Errors the CLI maps to exit codes by class.
 
-The CLI reports both as exit 2.  They live apart from ``_kernels`` and
-``search``, so mapping them loads neither the kernels, the search driver
-nor ``multiprocessing``.
+``CheckFailed`` is the base of every failed mathematical check (exit 1).
+The two resource guards, raised by the kernels and the search driver, exit
+2.  They live apart from the modules that raise them, so mapping them loads
+neither the kernels, the search driver nor ``multiprocessing``.
 """
+
+
+class CheckFailed(ArithmeticError):
+    """A checked mathematical property does not hold: a verdict, not a bug."""
 
 
 class CapExceeded(RuntimeError):

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 
 from . import _kernels
 from ._immutable import Immutable, set_field
+from .errors import CheckFailed
 from .poly import IntPolynomial
 from .roots import (
     DEFAULT_TOL,
@@ -28,7 +29,7 @@ from .roots import (
 )
 
 
-class PerronPreconditionError(ArithmeticError):
+class PerronPreconditionError(CheckFailed):
     """Spectral radius is not realized by a real eigenvalue."""
 
 

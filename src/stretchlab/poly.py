@@ -334,19 +334,6 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return a
 
 
-def square_free_part(p: IntPolynomial) -> IntPolynomial:
-    """p divided by gcd(p, p'), primitive with positive leading coefficient."""
-    if p.is_zero():
-        raise ValueError("square-free part of the zero polynomial")
-    if p.degree() == 0:
-        return one()
-    g = poly_gcd(p, p.derivative())
-    core = exact_div(p.primitive_part() if p.lead > 0 else (-p).primitive_part(), g)
-    if core.lead < 0:
-        core = -core
-    return core.primitive_part()
-
-
 def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Yun decomposition [(p1, 1), (p2, 2), ...] with p = content * prod pi^i."""
     if p.is_zero():
@@ -395,13 +382,6 @@ def _moebius(m: int) -> int:
             return 0
         mu = -mu
     return mu
-
-
-def euler_phi(m: int) -> int:
-    phi = m
-    for prime in _factorize(m):
-        phi -= phi // prime
-    return phi
 
 
 @functools.cache

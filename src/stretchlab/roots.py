@@ -16,6 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from ._immutable import Immutable, set_field
+from .errors import CheckFailed
 from .poly import (
     IntPolynomial,
     exact_div,
@@ -39,7 +40,7 @@ COMPARE_SHRINK = Fraction(1, 256)
 SILVER_COMPARE_ROUNDS = 12
 
 
-class NoRealRootError(ArithmeticError):
+class NoRealRootError(CheckFailed):
     """The polynomial has no real root in the requested range."""
 
 
@@ -110,7 +111,7 @@ def sturm_chain(p: IntPolynomial) -> SturmChain:
     part of p with positive leading coefficient.  If it ends in a nonzero
     constant, gcd(f, f') = 1 and f is already square-free.  Otherwise its
     last element is +-gcd(f, f'); f divided by it, normalised the same way,
-    is ``square_free_part(p)``, and the sequence runs again on that.  A
+    is the square-free part of p, and the sequence runs again on that.  A
     constant p gives the chain (1,).  Raises ValueError for the zero
     polynomial.
     """

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .classify import is_skew_reciprocal_up_to_cyclotomic
+from .errors import CheckFailed
 from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
 from .roots import (
@@ -30,7 +31,7 @@ from .roots import (
 )
 
 
-class SharpnessInvariantError(ArithmeticError):
+class SharpnessInvariantError(CheckFailed):
     """A constructed example failed one of its certified invariants."""
 
 

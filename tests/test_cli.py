@@ -1,8 +1,10 @@
 """CLI behavior: exit codes, schemas, determinism of repro targets."""
 
+import decimal
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -15,10 +17,21 @@ import stretchlab.roots
 import stretchlab.search
 import stretchlab.sharpness
 from stretchlab.cli import _json_chunks, main
-from stretchlab.matrices import IntMatrix, normalized_spectral_radius, spectral_radius
+from stretchlab.curvegraph import GrowthRateError
+from stretchlab.errors import CheckFailed
+from stretchlab.matrices import (
+    IntMatrix,
+    PerronPreconditionError,
+    normalized_spectral_radius,
+    spectral_radius,
+)
 from stretchlab.poly import InexactDivisionError, IntPolynomial
-from stretchlab.roots import RootEnclosure, ValueInterval
-from stretchlab.sharpness import expected_char_poly
+from stretchlab.roots import NoRealRootError, RootEnclosure, ValueInterval
+from stretchlab.sharpness import SharpnessInvariantError, expected_char_poly
+
+#: Stdout of `repro thm-main` and `repro set-theorem`, recorded before the
+#: targets moved out of the CLI module.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ENCLOSURE_SCHEMA = {
     "type": ["object", "null"],
@@ -111,6 +124,14 @@ def test_classify_dispatch_example(capsys):
 def test_malformed_json_exits_2(capsys):
     assert main(["classify", "--poly", "{bad json"]) == 2
     assert main(["classify", "--poly", '{"coeffs": "nope"}']) == 2
+
+
+@pytest.mark.parametrize("coeffs", [["-1", "-1", "1"], ["1", "0", "1"]], ids=["root", "no-root"])
+def test_zero_tolerance_exits_2_with_or_without_a_positive_root(coeffs, capsys):
+    assert main(["classify", "--poly", json.dumps({"coeffs": coeffs}), "--tol", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerance must be positive\n"
 
 
 def test_matrix_command(tmp_path, capsys):
@@ -253,6 +274,7 @@ def test_undecided_comparison_exits_3(monkeypatch, capsys):
         ZeroDivisionError("polynomial division by the zero polynomial"),
         OverflowError("int too large"),
         InexactDivisionError("division is not exact over the integers"),
+        decimal.InvalidOperation("quantize result has too many digits"),
     ],
 )
 def test_internal_error_exits_4_with_traceback(error, monkeypatch, capsys):
@@ -265,6 +287,61 @@ def test_internal_error_exits_4_with_traceback(error, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("Traceback (most recent call last):")
     assert captured.err.endswith(f"{type(error).__name__}: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NoRealRootError("(t^2 + 1) has no real root in (0, 2]"),
+        SharpnessInvariantError("char poly mismatch at k=3"),
+        GrowthRateError("clique polynomial has no root in (0, 1)"),
+        PerronPreconditionError("spectral radius is not a real root"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_failed_check_exits_1(error, monkeypatch, capsys):
+    def failing(args):
+        raise error
+
+    assert isinstance(error, CheckFailed)
+    monkeypatch.setattr(stretchlab.cli, "_cmd_classify", failing)
+    assert main(["classify", "--poly", '{"coeffs": ["-1", "-1", "1"]}']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"check failed: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix"],
+        ["curve-graph"],
+        ["sharpness"],
+        ["sharpness", "--k", "3", "--table", "2..4"],
+    ],
+    ids=["matrix-no-matrix", "curve-graph-no-matrix", "sharpness-neither", "sharpness-both"],
+)
+def test_missing_or_conflicting_input_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+
+
+@pytest.mark.parametrize("command", ["matrix", "curve-graph"])
+def test_file_and_matrix_spellings_give_identical_bytes(command, tmp_path, capsys):
+    inline = '{"rows":[["0","0","1","1"],["1","0","0","0"],["1","1","0","0"],["0","0","1","0"]]}'
+    path = tmp_path / "m.json"
+    path.write_text(inline)
+    outputs = {
+        run_cli(capsys, command, flag, value)
+        for flag in ("--file", "--matrix")
+        for value in (inline, str(path))
+    }
+    assert len(outputs) == 1
+    assert outputs.pop()[0] == 0
 
 
 def test_threads_out_of_range_exits_2_before_any_pool(monkeypatch, capsys):
@@ -345,7 +422,7 @@ def test_repro_set_theorem_passes_and_is_deterministic(capsys):
     code1, out1 = run_cli(capsys, "repro", "set-theorem")
     code2, out2 = run_cli(capsys, "repro", "set-theorem")
     assert code1 == code2 == 0
-    assert out1 == out2
+    assert out1 == out2 == (GOLDEN / "repro_set_theorem.json").read_text()
     payload = json.loads(out1)
     assert payload["pass"] is True
 
@@ -354,7 +431,7 @@ def test_repro_thm_main_deterministic_across_threads(capsys):
     code1, out1 = run_cli(capsys, "repro", "thm-main", "--threads", "1")
     code2, out2 = run_cli(capsys, "repro", "thm-main", "--threads", "2")
     assert code1 == code2 == 0
-    assert out1 == out2
+    assert out1 == out2 == (GOLDEN / "repro_thm_main.json").read_text()
     assert json.loads(out1)["pass"] is True
 
 

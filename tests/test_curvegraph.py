@@ -179,8 +179,7 @@ def test_curve_graph_report_computes_each_quantity_once(rows, monkeypatch):
 
     m = IntMatrix(rows)
     identity = verify_clique_identity(m)
-    names = ("simple_cycle_classes", "clique_polynomial_from_classes", "charpoly",
-             "clique_identity_holds")
+    names = ("simple_cycle_classes", "clique_polynomial_from_classes", "charpoly")
     calls = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(stretchlab._kernels, name)
@@ -195,6 +194,5 @@ def test_curve_graph_report_computes_each_quantity_once(rows, monkeypatch):
         "simple_cycle_classes": 1,
         "clique_polynomial_from_classes": 1,
         "charpoly": 1,
-        "clique_identity_holds": 0,
     }
     assert report["identity_ok"] is identity is True

@@ -121,6 +121,8 @@ def test_command_imports_only_what_it_uses(argv, absent, tmp_path):
         track = tmp_path / "track.json"
         track.write_text(json.dumps(LOOP_TRACK))
         argv = [str(track) if a == "{track}" else a for a in argv]
+    if not argv or argv[0] != "repro":
+        absent = (*absent, "stretchlab.repro")
     assert sorted(set(absent) & loaded_after(argv)) == []
 
 
@@ -162,6 +164,7 @@ def test_classify_stays_the_function_after_a_classify_query():
         "families",
         "matrices",
         "poly",
+        "repro",
         "roots",
         "search",
         "sharpness",
@@ -201,6 +204,21 @@ def test_sources_import_no_numpy_and_call_float_only_in_dunder_float(path):
         and id(n) not in allowed
     ]
     assert float_calls == []
+
+
+def test_repro_never_imports_the_cli():
+    """Under ``python -m stretchlab.cli`` that import would compile the CLI twice."""
+    path = Path(SRC, "stretchlab", "repro.py")
+    named = set()
+    for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(n, ast.Import):
+            named.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.ImportFrom):
+            base = "stretchlab" + ("." + n.module if n.module else "") if n.level else n.module
+            named.add(base)
+            named.update(f"{base}.{alias.name}" for alias in n.names)
+    assert "stretchlab.classify" in named  # the walk sees the imports
+    assert "stretchlab.cli" not in named
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from stretchlab.poly import (
     InexactDivisionError,
     IntPolynomial,
+    _phi_sieve,
     cyclotomic,
     cyclotomic_indices_up_to_degree,
     divrem,
-    euler_phi,
     exact_div,
     monomial,
     one,
@@ -21,8 +21,8 @@ from stretchlab.poly import (
     poly_to_json,
     pseudo_rem,
     square_free_decomposition,
-    square_free_part,
 )
+from stretchlab.roots import sturm_chain
 
 P = IntPolynomial
 
@@ -128,12 +128,12 @@ def test_cyclotomic_degree_and_monic():
     for m in range(1, 40):
         phi = cyclotomic(m)
         assert phi.is_monic()
-        assert phi.degree() == euler_phi(m)
+        assert phi.degree() == _phi_sieve(40)[m]
 
 
 def test_cyclotomic_index_bound():
     indices = cyclotomic_indices_up_to_degree(4)
-    assert set(indices) == {m for m in range(1, 33) if euler_phi(m) <= 4}
+    assert set(indices) == {m for m in range(1, 33) if _phi_sieve(32)[m] <= 4}
 
 
 def test_poly_gcd_and_square_free():
@@ -142,7 +142,7 @@ def test_poly_gcd_and_square_free():
     assert poly_gcd(p * q, p) == p
     assert poly_gcd(p, q) == one()
     sq = p * p * q
-    assert square_free_part(sq) == p * q
+    assert sturm_chain(sq).chain[0] == p * q
     decomp = square_free_decomposition(sq)
     assert decomp == [(q, 1), (p, 2)] or decomp == [(p, 2), (q, 1)]
 

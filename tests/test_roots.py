@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_structured_reciprocal
-from stretchlab.poly import IntPolynomial, cyclotomic, square_free_part
+from poly_reference import square_free_part
+from stretchlab.poly import IntPolynomial, cyclotomic
 from stretchlab.roots import (
     DEFAULT_TOL,
     SILVER_SQUARED_POLY,
