@@ -62,6 +62,14 @@ def _parse_json_arg(value: str, from_json: Callable, what: str):
         raise InputError(f"bad {what}: {exc}") from exc
 
 
+def _tolerance(value: str) -> Fraction:
+    """``--tol``: a rational; 1/0 is a usage error like any other bad number."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {value!r}") from exc
+
+
 def _parse_range(value: str) -> list[int]:
     """'2..40' or a single integer or comma list; never empty."""
     try:
@@ -408,11 +416,7 @@ def _cmd_sharpness(args) -> int:
 def _cmd_traintrack(args) -> int:
     from .traintrack import track_from_json, track_report
 
-    data = _load_json_arg(args.file)
-    try:
-        track = track_from_json(data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    track = _parse_json_arg(args.file, track_from_json, "train track")
     _emit(track_report(track), args)
     return 0
 
@@ -421,6 +425,15 @@ def _check_threads(threads: int) -> None:
     cpus = os.cpu_count() or 1
     if not 1 <= threads <= cpus:
         raise InputError(f"--threads must be between 1 and {cpus} (the CPU count), got {threads}")
+
+
+def _class_json(c) -> dict:
+    """One qualifying class of a search report."""
+    return {
+        "char_poly": str(c.char_poly),
+        "normalized": c.normalized.decimal(),
+        "matrices": c.matrix_count,
+    }
 
 
 def _cmd_search(args) -> int:
@@ -440,14 +453,7 @@ def _cmd_search(args) -> int:
         "max_entry": cfg.max_entry,
         "count_scanned": result.count_scanned,
         "count_qualifying": result.count_qualifying,
-        "classes": [
-            {
-                "char_poly": str(c.char_poly),
-                "normalized": c.normalized.decimal(),
-                "matrices": c.matrix_count,
-            }
-            for c in result.classes
-        ],
+        "classes": [_class_json(c) for c in result.classes],
         "minimum": None
         if result.minimum is None
         else {
@@ -455,14 +461,7 @@ def _cmd_search(args) -> int:
             "normalized": result.minimum.normalized.decimal(),
             "matrix": matrix_to_json(result.minimum.least_matrix)["rows"],
         },
-        "violations": [
-            {
-                "char_poly": str(c.char_poly),
-                "normalized": c.normalized.decimal(),
-                "matrices": c.matrix_count,
-            }
-            for c in result.violations
-        ],
+        "violations": [_class_json(c) for c in result.violations],
         "bound": silver_ratio_squared(args.tol).decimal(),
         "scope_note": result.scope_note,
     }
@@ -510,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=Fraction, default=DEFAULT_TOL, help="enclosure width bound (default 1e-12)")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="enclosure width bound (default 1e-12)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -523,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="analyze one integer matrix")
     p.add_argument("--matrix", "--file", required=True, help=matrix_help)
-    p.add_argument("--analyze", action="store_true", help="accepted for compatibility; analysis always runs")
     common(p)
     p.set_defaults(func=_cmd_matrix)
 
@@ -550,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traintrack", help="train-track report from a JSON file")
     p.add_argument("--file", required=True)
-    p.add_argument("--report", action="store_true", help="accepted for compatibility; the report always runs")
     common(p)
     p.set_defaults(func=_cmd_traintrack)
 

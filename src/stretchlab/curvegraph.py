@@ -21,17 +21,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _kernels
-from ._immutable import Immutable, set_field
 from .errors import CheckFailed
 from .matrices import IntMatrix, char_poly
 from .poly import IntPolynomial
-from .roots import (
-    DEFAULT_TOL,
-    RootEnclosure,
-    cauchy_root_bound,
-    largest_real_root,
-    real_roots_in_interval,
-)
+from .roots import DEFAULT_TOL, RootEnclosure, largest_root_above_one
 
 DEFAULT_CYCLE_CAP = 10**5
 DEFAULT_CLIQUE_GUARD = 10**6
@@ -41,24 +34,6 @@ CapExceeded = _kernels.CapExceeded
 
 class GrowthRateError(CheckFailed):
     """The clique polynomial has no root in (0, 1): growth rate <= 1."""
-
-
-class MultiDigraph(Immutable):
-    """Digraph of a nonnegative matrix; entry a_ij = parallel edges i -> j."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: IntMatrix):
-        if not matrix.is_nonnegative():
-            raise ValueError("multidigraph needs a nonnegative matrix")
-        set_field(self, "matrix", matrix)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self.matrix.rows[u][v]
 
 
 class SimpleCycle(NamedTuple):
@@ -161,9 +136,10 @@ def _growth_rate(q: IntPolynomial, tol: Fraction) -> RootEnclosure:
     rev = q.reverse()  # q(0) = 1, so this preserves the degree
     if rev.degree() < 1:
         raise GrowthRateError("no cycles: growth rate undefined")
-    if real_roots_in_interval(rev, 1, cauchy_root_bound(rev)) == 0:
+    root = largest_root_above_one(rev, tol)
+    if root is None:
         raise GrowthRateError("clique polynomial has no root in (0, 1)")
-    return largest_real_root(rev, tol)
+    return root
 
 
 class GraphShape(NamedTuple):

@@ -33,10 +33,9 @@ from .roots import (
     DEFAULT_TOL,
     RootEnclosure,
     ValueInterval,
-    cauchy_root_bound,
     compare_enclosures,
     largest_real_root,
-    real_roots_in_interval,
+    largest_root_above_one,
     silver_ratio_squared,
 )
 
@@ -130,12 +129,8 @@ def admissibility_report(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> Admis
     prim = primitivity_compatible(p)
     # parity is necessary for skew up to cyclotomics (see that predicate)
     skew = parity and p.constant_term() != 0 and is_skew_reciprocal_up_to_cyclotomic(p, parity)
-    root = None
-    normalized = None
-    if parity and prim and skew:
-        if real_roots_in_interval(p, 1, cauchy_root_bound(p)) >= 1:
-            root = largest_real_root(p, tol)
-            normalized = root.powered(p.degree())
+    root = largest_root_above_one(p, tol) if parity and prim and skew else None
+    normalized = None if root is None else root.powered(p.degree())
     return AdmissibilityReport(
         polynomial=p,
         parity_ok=parity,
@@ -199,30 +194,6 @@ def enumerate_admissible(
 # -- monotonicity scans of the symmetric-exponent branches -------------
 
 
-def _scan_polynomial(branch: str, g: int, params: tuple[int, ...]) -> IntPolynomial:
-    coeffs = [0] * (2 * g + 1)
-    coeffs[2 * g] = 1
-    coeffs[0] -= 1
-    if branch == "3A1":
-        (d,) = params
-        coeffs[g + d] -= 1
-        coeffs[g - d] -= 1
-    elif branch == "4A1":
-        (d,) = params
-        coeffs[g + d] -= 1
-        coeffs[g] -= 1
-        coeffs[g - d] -= 1
-    elif branch == "5A1":
-        a, b = params
-        coeffs[g + a] -= 1
-        coeffs[g + b] -= 1
-        coeffs[g - b] -= 1
-        coeffs[g - a] -= 1
-    else:
-        raise ValueError(f"unknown scan branch {branch!r}")
-    return IntPolynomial(coeffs)
-
-
 class ScanPoint(NamedTuple):
     params: tuple[int, ...]
     polynomial: IntPolynomial
@@ -247,7 +218,9 @@ def monotonicity_scan(
 
     Branches: 3A1 is t^2g - t^(g+d) - t^(g-d) - 1; 4A1 adds the middle
     -t^g; 5A1 is the two-parameter t^2g - t^(g+a) - t^(g+b) - t^(g-b)
-    - t^(g-a) - 1 scanned over the (a, b) grid.  Strict increase is
+    - t^(g-a) - 1 scanned over the (a, b) grid.  Each point is the kA1
+    form ``instantiate`` builds from curve weights symmetric about g = n/2,
+    (g-d, g+d), (g-d, g, g+d) or (g-b, g-a, g+a, g+b).  Strict increase is
     certified pointwise by disjoint enclosures (refined geometrically, as in
     compare_enclosures); an unresolvable pair raises SeparationError.
     """
@@ -259,32 +232,32 @@ def monotonicity_scan(
     ds = sorted(set(int(d) for d in d_values))
     if any(d < 0 or d >= g for d in ds):
         raise ValueError("scan parameters must satisfy 0 <= d < n/2")
-    points: list[ScanPoint] = []
     if branch == "5A1":
         grid = [(a, b) for a in ds for b in ds if a <= b]
-        grid.sort()
-        for a, b in grid:
-            p = _scan_polynomial(branch, g, (a, b))
-            root = largest_real_root(p, tol)
-            points.append(ScanPoint((a, b), p, root, root.powered(n)))
-        by_params = {pt.params: pt for pt in points}
-        increasing = True
-        for a, b in grid:
-            for nxt in ((a + 1, b), (a, b + 1)):
-                key = tuple(sorted(nxt))
-                if nxt[0] in ds and nxt[1] in ds and key in by_params:
-                    cmp = compare_enclosures(by_params[(a, b)].root, by_params[key].root)
-                    if cmp != -1:
-                        increasing = False
+    elif branch in ("3A1", "4A1"):
+        grid = [(d,) for d in ds]
     else:
-        for d in ds:
-            p = _scan_polynomial(branch, g, (d,))
-            root = largest_real_root(p, tol)
-            points.append(ScanPoint((d,), p, root, root.powered(n)))
-        increasing = True
-        for prev, cur in zip(points, points[1:]):
-            if compare_enclosures(prev.root, cur.root) != -1:
-                increasing = False
+        raise ValueError(f"unknown scan branch {branch!r}")
+    middle = (g,) if branch == "4A1" else ()
+    points: list[ScanPoint] = []
+    for params in grid:
+        weights = tuple(g - x for x in reversed(params)) + middle + tuple(g + x for x in params)
+        p = instantiate(FamilyForm(branch, weights), n)
+        root = largest_real_root(p, tol)
+        points.append(ScanPoint(params, p, root, root.powered(n)))
+    if branch == "5A1":
+        # neighbours along each coordinate of the (a, b) grid
+        by_params = {pt.params: pt for pt in points}
+        pairs = [
+            (by_params[(a, b)], by_params[nxt])
+            for a, b in grid
+            for nxt in ((a + 1, b), (a, b + 1))
+            if nxt in by_params
+        ]
+    else:
+        pairs = zip(points, points[1:])
+    # every pair is compared, so an unresolvable one raises even after a failure
+    increasing = all([compare_enclosures(x.root, y.root) == -1 for x, y in pairs])
     return ScanResult(branch=branch, n=n, points=tuple(points), strictly_increasing=increasing)
 
 
@@ -320,21 +293,13 @@ def verify_low_degree_exceptions(tol: Fraction = DEFAULT_TOL) -> LowDegreeReport
     below = mu2.hi < threshold.lo and mu3.hi < threshold.lo
     q1 = IntPolynomial((-1, 0, 0, -1, 1))  # t^4 - t^3 - 1
     q2 = IntPolynomial((-1, -2, 0, 0, 1))  # t^4 - 2t - 1
+    # either failure makes a polynomial inadmissible, so both are excluded
     excluded = []
     if not parity_condition(q1):
         excluded.append((q1, "parity"))
     if parity_condition(q2) and not is_skew_reciprocal_up_to_cyclotomic(q2):
         excluded.append((q2, "skew_up_to_cyclotomic"))
-    admissible_4 = {r.polynomial.coeffs for r in enumerate_admissible(4)}
-    ok = (
-        sign2 == -1
-        and skew3
-        and core3 == p2
-        and below
-        and len(excluded) == 2
-        and q1.coeffs not in admissible_4
-        and q2.coeffs not in admissible_4
-    )
+    ok = sign2 == -1 and skew3 and core3 == p2 and below and len(excluded) == 2
     return LowDegreeReport(
         mu_squared=mu2,
         mu_cubed=mu3,

@@ -302,6 +302,18 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEncl
     return RootEnclosure(lo, hi, sf)
 
 
+def largest_root_above_one(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEnclosure | None:
+    """``largest_real_root(p, tol)`` when p has a real root above 1, else None.
+
+    A Sturm count on (1, CauchyBound] decides whether the root exists; the
+    enclosure is ``largest_real_root``'s own, so asking first changes no
+    certificate.  p must be nonconstant.
+    """
+    if real_roots_in_interval(p, 1, cauchy_root_bound(p)) == 0:
+        return None
+    return largest_real_root(p, tol)
+
+
 def compare_enclosures(e1: RootEnclosure, e2: RootEnclosure) -> int:
     """-1, 0, +1 ordering of the two enclosed roots, exactly.
 
@@ -310,12 +322,14 @@ def compare_enclosures(e1: RootEnclosure, e2: RootEnclosure) -> int:
     SeparationError if neither resolves within the refinement cap.
     """
     a, b = e1, e2
+    g = None  # refinement keeps the certificates, so their gcd is computed once
     for _ in range(COMPARE_ROUNDS + 1):
         if a.hi < b.lo:
             return -1
         if b.hi < a.lo:
             return 1
-        g = poly_gcd(a.polynomial, b.polynomial)
+        if g is None:
+            g = poly_gcd(a.polynomial, b.polynomial)
         if g.degree() >= 1:
             lo = max(a.lo, b.lo)
             hi = min(a.hi, b.hi)

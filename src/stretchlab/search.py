@@ -33,11 +33,9 @@ from .roots import (
     DEFAULT_TOL,
     RootEnclosure,
     ValueInterval,
-    cauchy_root_bound,
     compare_enclosures,
     compare_power_to_silver_squared,
-    largest_real_root,
-    real_roots_in_interval,
+    largest_root_above_one,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -115,9 +113,9 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
         poly = IntPolynomial(coeffs)
         if not is_skew_reciprocal_up_to_cyclotomic(poly):
             continue
-        if real_roots_in_interval(poly, 1, cauchy_root_bound(poly)) == 0:
+        root = largest_root_above_one(poly, cfg.tol)
+        if root is None:
             continue  # spectral radius not > 1
-        root = largest_real_root(poly, cfg.tol)
         indices = set().union(
             *(_kernels.orbit_indices(code, cfg.n, base) for code in by_poly[coeffs])
         )
@@ -181,14 +179,10 @@ def witness_check(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> WitnessReport:
     root = None
     normalized = None
     below = None
-    qualifies = (
-        report.primitive
-        and det in (1, -1)
-        and spectral.skew_up_to_cyclotomic
-        and real_roots_in_interval(chi, 1, cauchy_root_bound(chi)) >= 1
-    )
+    if report.primitive and det in (1, -1) and spectral.skew_up_to_cyclotomic:
+        root = largest_root_above_one(chi, tol)
+    qualifies = root is not None
     if qualifies:
-        root = largest_real_root(chi, tol)
         normalized = root.powered(a.n)
         below = compare_power_to_silver_squared(root, a.n) < 0
     return WitnessReport(

@@ -67,11 +67,6 @@ def expected_char_poly(k: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def exceeds_silver_squared(root: RootEnclosure, exponent: int) -> bool:
-    """Certify root^exponent > 3 + 2*sqrt(2); exact at the boundary."""
-    return compare_power_to_silver_squared(root, exponent) > 0
-
-
 class SharpnessExample(NamedTuple):
     k: int
     p_k: int
@@ -98,7 +93,8 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
     if not is_skew_reciprocal_up_to_cyclotomic(chi):
         raise SharpnessInvariantError(f"char poly not skew-up-to-cyclotomic at k={k}")
     root = largest_real_root(chi, tol)
-    if not exceeds_silver_squared(root, 2 * k):
+    # certified P_k > 3 + 2*sqrt(2); a value exactly on the bound fails too
+    if compare_power_to_silver_squared(root, 2 * k) <= 0:
         raise SharpnessInvariantError(f"P_{k} does not exceed the silver bound")
     return SharpnessExample(
         k=k,
@@ -111,18 +107,8 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
     )
 
 
-class ConvergenceRow(NamedTuple):
-    k: int
-    p_k: int
-    normalized: ValueInterval
-
-
-def convergence_table(k_max: int, tol: Fraction = DEFAULT_TOL) -> list[ConvergenceRow]:
-    """P_k for k = 2..k_max, each row built and certified by ``build_example``."""
+def convergence_table(k_max: int, tol: Fraction = DEFAULT_TOL) -> list[SharpnessExample]:
+    """The examples k = 2..k_max, each built and certified by ``build_example``."""
     if k_max < 2:
         raise ValueError("the family starts at k = 2")
-    rows = []
-    for k in range(2, k_max + 1):
-        example = build_example(k, tol)
-        rows.append(ConvergenceRow(k=k, p_k=example.p_k, normalized=example.normalized))
-    return rows
+    return [build_example(k, tol) for k in range(2, k_max + 1)]

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stretchlab.cli
+import stretchlab.families
 import stretchlab.matrices
 import stretchlab.roots
 import stretchlab.search
@@ -242,6 +243,16 @@ def test_empty_or_malformed_range_exits_2(argv, capsys):
     assert captured.err.startswith(("error: empty range", "error: bad range"))
 
 
+@pytest.mark.parametrize("tol", ["1/0", "2/0", "abc"])
+def test_tolerance_that_is_not_a_rational_exits_2(tol, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["classify", "--poly", '{"coeffs":["1","1"]}', "--tol", tol])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a rational number" in captured.err
+
+
 def test_sharpness_k_below_2_names_the_family_start(capsys):
     for k in ("0", "1"):
         assert main(["sharpness", "--k", k]) == 2
@@ -380,7 +391,7 @@ def test_traintrack_command(tmp_path, capsys):
     }
     path = tmp_path / "t.json"
     path.write_text(json.dumps(track))
-    code, out = run_cli(capsys, "traintrack", "--file", str(path), "--report")
+    code, out = run_cli(capsys, "traintrack", "--file", str(path))
     assert code == 0
     payload = json.loads(out)
     assert payload["standardly_embedded"] is True
@@ -390,8 +401,16 @@ def test_traintrack_command(tmp_path, capsys):
 
 def test_traintrack_bad_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"vertices": [], "edges": [{"ends": [1], "kind": "real"}]}')
-    assert main(["traintrack", "--file", str(path)]) == 2
+    for text in (
+        '{"vertices": [], "edges": [{"ends": [1], "kind": "real"}]}',
+        # a side that is a bare id, not a list: a TypeError inside TrainTrack
+        '{"vertices": [{"sideA": 1, "sideB": [2]}], "edges": []}',
+    ):
+        path.write_text(text)
+        assert main(["traintrack", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad train track")
 
 
 def test_search_budget_exit_code(monkeypatch, capsys):
@@ -433,6 +452,26 @@ def test_repro_thm_main_deterministic_across_threads(capsys):
     assert code1 == code2 == 0
     assert out1 == out2 == (GOLDEN / "repro_thm_main.json").read_text()
     assert json.loads(out1)["pass"] is True
+
+
+def test_repro_thm_main_builds_each_shared_input_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(arg, *rest, **kwargs):
+            calls.append((name, arg))
+            return original(arg, *rest, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(stretchlab.sharpness, "build_example")
+    counted(stretchlab.families, "enumerate_admissible")
+    code, out = run_cli(capsys, "repro", "thm-main")
+    assert code == 0 and out == (GOLDEN / "repro_thm_main.json").read_text()
+    assert calls.count(("build_example", 2)) == 1
+    assert calls.count(("enumerate_admissible", 4)) == 1
 
 
 def test_repro_set_theorem_decides_without_floats(monkeypatch, capsys):

@@ -7,7 +7,6 @@ import pytest
 from stretchlab.curvegraph import (
     CapExceeded,
     GrowthRateError,
-    MultiDigraph,
     clique_polynomial,
     curve_graph,
     curve_graph_report,
@@ -23,13 +22,6 @@ P = IntPolynomial
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 REMARK = IntMatrix([[0, 0, 1, 1], [1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]])
-
-
-def test_multidigraph():
-    g = MultiDigraph(IntMatrix([[2, 1], [0, 3]]))
-    assert g.n == 2 and g.multiplicity(0, 0) == 2 and g.multiplicity(1, 0) == 0
-    with pytest.raises(ValueError):
-        MultiDigraph(IntMatrix([[-1]]))
 
 
 def test_simple_cycles_examples():

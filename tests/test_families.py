@@ -95,6 +95,10 @@ def test_enumerate_rejects_known_non_candidates():
     polys = {r.polynomial for r in enumerate_admissible(4)}
     assert P((-1, 0, 0, -1, 1)) not in polys  # t^4 - t^3 - 1: parity fails
     assert P((-1, -2, 0, 0, 1)) not in polys  # t^4 - 2t - 1: not skew up to cyclotomic
+    # the degree-4 analogues the low-degree check excludes by its filters alone
+    excluded = {p for p, _ in verify_low_degree_exceptions().excluded_at_4}
+    assert excluded == {P((-1, 0, 0, -1, 1)), P((-1, -2, 0, 0, 1))}
+    assert not excluded & polys
 
 
 def test_enumerate_low_degrees_find_the_exceptions():
@@ -233,13 +237,39 @@ def test_monotonicity_scan_5a1():
     assert abs(float(first.normalized) - 17.944271909999159) < 1e-7
 
 
+def _monomials(n: int, *exponents: int) -> P:
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for e in exponents:
+        coeffs[e] -= 1
+    return P(coeffs)
+
+
+@pytest.mark.parametrize("n", range(4, 25, 2))
+def test_scan_polynomials_are_the_closed_forms(n):
+    g = n // 2
+    closed = {
+        "3A1": lambda d: _monomials(n, g + d, g - d, 0),
+        "4A1": lambda d: _monomials(n, g + d, g, g - d, 0),
+        "5A1": lambda a, b: _monomials(n, g + a, g + b, g - b, g - a, 0),
+    }
+    for branch, form in closed.items():
+        points = monotonicity_scan(branch, n).points
+        assert [pt.params for pt in points] == sorted(pt.params for pt in points)
+        assert len(points) == (g * (g + 1) // 2 if branch == "5A1" else g)
+        for pt in points:
+            assert pt.polynomial == form(*pt.params)
+
+
 def test_scan_errors():
     with pytest.raises(ValueError):
         monotonicity_scan("3A1", 11)
     with pytest.raises(ValueError):
         monotonicity_scan("3A1", 12, [6])
-    with pytest.raises(ValueError):
-        monotonicity_scan("XX", 12)
+    # family tags without a symmetric scan are rejected as branches, too
+    for branch in ("XX", "2A1", "AStar2"):
+        with pytest.raises(ValueError, match="unknown scan branch"):
+            monotonicity_scan(branch, 12)
 
 
 def test_low_degree_exceptions():

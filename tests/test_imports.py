@@ -126,6 +126,17 @@ def test_command_imports_only_what_it_uses(argv, absent, tmp_path):
     assert sorted(set(absent) & loaded_after(argv)) == []
 
 
+def test_benchmark_script_loads():
+    # it imports private helpers of the package, so a rename must fail here
+    script = Path(SRC).parent / "benchmarks" / "bench_kernels.py"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, str(script), "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+
+
 def test_every_exported_name_resolves_lazily():
     names = fresh(
         "import json, stretchlab\n"

@@ -23,6 +23,7 @@ from stretchlab.roots import (
     dyadic_str,
     fraction_to_decimal_str,
     largest_real_root,
+    largest_root_above_one,
     real_roots_in_interval,
     silver_ratio_squared,
     sturm_chain,
@@ -76,6 +77,21 @@ def test_count_half_open_semantics():
     assert real_roots_in_interval(p, -1, 1) == 1
     assert real_roots_in_interval(p, -2, 1) == 2
     assert real_roots_in_interval(p, 1, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 0, 1), (-1, 1), (-1, 2)],
+    ids=["t^2+1", "t-1", "2t-1"],
+)
+def test_largest_root_above_one_none(coeffs):
+    assert largest_root_above_one(P(coeffs)) is None
+
+
+def test_largest_root_above_one_is_the_largest_root_enclosure():
+    tol = Fraction(1, 2**20)
+    assert largest_root_above_one(GOLDEN, tol) == largest_real_root(GOLDEN, tol)
+    assert largest_root_above_one(GOLDEN) == largest_real_root(GOLDEN)
 
 
 def test_enclosure_soundness_random():

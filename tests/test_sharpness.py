@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
+from stretchlab.families import FamilyForm, instantiate
 from stretchlab.matrices import char_poly, determinant, is_primitive
 from stretchlab.poly import IntPolynomial
 from stretchlab.roots import compare_enclosures, largest_real_root
@@ -65,6 +66,14 @@ def test_family_invariants_through_k12():
         assert is_skew_reciprocal_up_to_cyclotomic(ex.char_poly)
         assert parity_condition(ex.char_poly)
         assert float(ex.normalized) > SILVER_SQ
+
+
+def test_char_poly_is_a_3a1_family_polynomial():
+    # t^2k - t^p - t^(2k-p) - 1 is the 3A1 curve graph with weights p, 2k - p
+    for k in range(2, 61):
+        p, _ = silver_parameters(k)
+        form = FamilyForm("3A1", tuple(sorted((p, 2 * k - p))))
+        assert expected_char_poly(k) == instantiate(form, 2 * k)
 
 
 def test_same_parity_decrease():
