@@ -127,10 +127,12 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial, parity: bool | None = 
         return True
     if not (parity_condition(p) if parity is None else parity):
         return False
-    _, core = strip_cyclotomic(p)
-    if core.degree() == 0:
-        return True
-    return is_skew_reciprocal(core) is not None
+    return _skew_core(strip_cyclotomic(p)[1])
+
+
+def _skew_core(core: IntPolynomial) -> bool:
+    """Whether a cyclotomic-free core is constant or skew-reciprocal."""
+    return core.degree() == 0 or is_skew_reciprocal(core) is not None
 
 
 def parity_condition(p: IntPolynomial) -> bool:
@@ -191,39 +193,18 @@ def classify(p: IntPolynomial) -> SpectralClass:
     """
     if p.is_zero():
         raise ValueError("classification of the zero polynomial")
-    reciprocal = is_reciprocal(p)
-    parity_ok = parity_condition(p)
-    if p.constant_term() == 0:
-        order = next(i for i, c in enumerate(p.coeffs) if c)
-        unit = IntPolynomial(p.coeffs[order:])
-        cyclo, unit_core = strip_cyclotomic(unit)
-        return SpectralClass(
-            polynomial=p,
-            reciprocal=reciprocal,
-            skew_reciprocal=None,
-            cyclotomic_part=cyclo,
-            core=unit_core.shift(order),
-            skew_up_to_cyclotomic=False,
-            parity_ok=parity_ok,
-            degenerate=False,
-        )
-    cyclo, core = strip_cyclotomic(p)
-    skew = is_skew_reciprocal(p)
-    if core.degree() == 0:
-        skew_utc = True
-        degenerate = True
-    else:
-        skew_utc = skew is not None or is_skew_reciprocal(core) is not None
-        degenerate = False
+    order = next(i for i, c in enumerate(p.coeffs) if c)
+    cyclo, core = strip_cyclotomic(IntPolynomial(p.coeffs[order:]) if order else p)
+    # a skew p has a skew core (see the predicate), so the core decides
     return SpectralClass(
         polynomial=p,
-        reciprocal=reciprocal,
-        skew_reciprocal=skew,
+        reciprocal=is_reciprocal(p),
+        skew_reciprocal=None if order else is_skew_reciprocal(p),
         cyclotomic_part=cyclo,
-        core=core,
-        skew_up_to_cyclotomic=skew_utc,
-        parity_ok=parity_ok,
-        degenerate=degenerate,
+        core=core.shift(order),
+        skew_up_to_cyclotomic=not order and _skew_core(core),
+        parity_ok=parity_condition(p),
+        degenerate=not order and core.degree() == 0,
     )
 
 

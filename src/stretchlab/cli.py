@@ -3,10 +3,11 @@
 Exit codes: 0 = success, 1 = a checked mathematical property failed (a
 violation found, a bound check failed, or an ``errors.CheckFailed``: no
 real root, a sharpness invariant, a growth rate or a Perron precondition),
-2 = input or parse error or an exceeded budget or cap, 3 = undecided (two
-enclosures could not be separated within the refinement cap, so the check
-has no answer), 4 = internal error: any other exception (a KeyError, a
-failed invariant assertion, and also any other ArithmeticError, such as a
+2 = input or parse error (``errors.InputError``, an OSError) or an exceeded
+budget or cap, 3 = undecided (two enclosures could not be separated within
+the refinement cap, so the check has no answer), 4 = internal error: any
+other exception (a KeyError, a failed invariant assertion, a ValueError
+that no input check raised, and also any other ArithmeticError, such as a
 division by zero or an inexact polynomial division, which no check makes
 on purpose) is a bug, not a verdict, and its traceback goes to stderr.
 Reports are schema-stable JSON (sorted keys); certified quantities always
@@ -30,26 +31,22 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import SCOPE_NOTE, __version__
-from .errors import BudgetExceededError, CapExceeded, CheckFailed
+from .errors import BudgetExceededError, CapExceeded, CheckFailed, InputError
 from .roots import DEFAULT_TOL, SeparationError
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterator
 
 
-class InputError(ValueError):
-    """Bad user input: malformed JSON, missing file, out-of-range flag."""
-
-
 def _load_json_arg(value: str) -> dict:
     """Accept inline JSON or a path to a JSON file."""
     text = value
     candidate = Path(value)
-    if not value.lstrip().startswith("{") and candidate.exists():
-        text = candidate.read_text()
     try:
+        if not value.lstrip().startswith("{") and candidate.exists():
+            text = candidate.read_text(encoding="utf-8")
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"not valid JSON (inline or file): {exc}") from exc
 
 
@@ -63,11 +60,14 @@ def _parse_json_arg(value: str, from_json: Callable, what: str):
 
 
 def _tolerance(value: str) -> Fraction:
-    """``--tol``: a rational; 1/0 is a usage error like any other bad number."""
+    """``--tol``: a positive rational; 1/0 is a usage error like any other bad number."""
     try:
-        return Fraction(value)
+        tol = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {value!r}") from exc
+    if tol <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value!r}")
+    return tol
 
 
 def _parse_range(value: str) -> list[int]:
@@ -508,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="enclosure width bound (default 1e-12)")
+    def common(p, tol=True):
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="enclosure width bound (default 1e-12)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traintrack", help="train-track report from a JSON file")
     p.add_argument("--file", required=True)
-    common(p)
+    common(p, tol=False)  # no certified enclosure in the report
     p.set_defaults(func=_cmd_traintrack)
 
     p = sub.add_parser("search", help="exhaustive matrix search against the bound")
@@ -571,7 +572,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, BudgetExceededError, CapExceeded) as exc:
+    except (InputError, OSError, BudgetExceededError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SeparationError as exc:

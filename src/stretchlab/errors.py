@@ -1,14 +1,19 @@
 """Errors the CLI maps to exit codes by class.
 
 ``CheckFailed`` is the base of every failed mathematical check (exit 1).
-The two resource guards, raised by the kernels and the search driver, exit
-2.  They live apart from the modules that raise them, so mapping them loads
+``InputError`` marks bad input, and the two resource guards, raised by the
+kernels and the search driver, mark an exceeded limit; all three exit 2.
+They live apart from the modules that raise them, so mapping them loads
 neither the kernels, the search driver nor ``multiprocessing``.
 """
 
 
 class CheckFailed(ArithmeticError):
     """A checked mathematical property does not hold: a verdict, not a bug."""
+
+
+class InputError(ValueError):
+    """Bad user input: malformed JSON, missing file, out-of-range flag."""
 
 
 class CapExceeded(RuntimeError):

@@ -23,11 +23,12 @@ from typing import NamedTuple
 
 from ._immutable import Immutable, set_field
 from .classify import (
+    classify,
     is_skew_reciprocal,
     is_skew_reciprocal_up_to_cyclotomic,
     parity_condition,
-    strip_cyclotomic,
 )
+from .errors import InputError
 from .poly import IntPolynomial
 from .roots import (
     DEFAULT_TOL,
@@ -128,7 +129,7 @@ def admissibility_report(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> Admis
     parity = parity_condition(p)
     prim = primitivity_compatible(p)
     # parity is necessary for skew up to cyclotomics (see that predicate)
-    skew = parity and p.constant_term() != 0 and is_skew_reciprocal_up_to_cyclotomic(p, parity)
+    skew = parity and is_skew_reciprocal_up_to_cyclotomic(p, parity)
     root = largest_root_above_one(p, tol) if parity and prim and skew else None
     normalized = None if root is None else root.powered(p.degree())
     return AdmissibilityReport(
@@ -143,17 +144,12 @@ def admissibility_report(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> Admis
 
 def _form_instances(tag: str, n: int):
     if tag == "AStar2":
-        seen = set()
-        for a in range(1, n):
+        # max(c, a + b) = n with a <= b: c = n when a + b < n, any c when
+        # a + b = n; each (a, b, c) comes once, in sorted order
+        for a in range(1, n // 2 + 1):
             for b in range(a, n - a + 1):
-                # branch c = n, a + b <= n; branch a + b = n, any c
-                if a + b <= n:
-                    seen.add((a, b, n))
-                if a + b == n:
-                    for c in range(1, n + 1):
-                        seen.add((a, b, c))
-        for params in sorted(seen):
-            yield FamilyForm("AStar2", params)
+                for c in range(1, n + 1) if a + b == n else (n,):
+                    yield FamilyForm("AStar2", (a, b, c))
     else:
         k = A_ONE_SIZES[tag]
         for lows in itertools.combinations_with_replacement(range(1, n + 1), k - 1):
@@ -168,12 +164,12 @@ def enumerate_admissible(
     """Admissible candidates over the requested forms at degree n,
     deduplicated by polynomial, sorted by normalized largest root."""
     if n < 2:
-        raise ValueError("enumeration needs degree >= 2")
+        raise InputError("enumeration needs degree >= 2")
     if n > DEGREE_CAP:
-        raise ValueError(f"degree {n} exceeds the enumeration cap {DEGREE_CAP}")
+        raise InputError(f"degree {n} exceeds the enumeration cap {DEGREE_CAP}")
     unknown = [tag for tag in forms if tag not in ALL_FORMS]
     if unknown:
-        raise ValueError(f"unknown family form tag(s) {unknown}; valid tags: {ALL_FORMS}")
+        raise InputError(f"unknown family form tag(s) {unknown}; valid tags: {ALL_FORMS}")
     seen: set[tuple[int, ...]] = set()
     reports: list[AdmissibilityReport] = []
     for tag in forms:
@@ -225,19 +221,19 @@ def monotonicity_scan(
     compare_enclosures); an unresolvable pair raises SeparationError.
     """
     if n % 2 or n < 4:
-        raise ValueError("scans need even n >= 4")
+        raise InputError("scans need even n >= 4")
     g = n // 2
     if d_values is None:
         d_values = range(0, g)
     ds = sorted(set(int(d) for d in d_values))
     if any(d < 0 or d >= g for d in ds):
-        raise ValueError("scan parameters must satisfy 0 <= d < n/2")
+        raise InputError("scan parameters must satisfy 0 <= d < n/2")
     if branch == "5A1":
         grid = [(a, b) for a in ds for b in ds if a <= b]
     elif branch in ("3A1", "4A1"):
         grid = [(d,) for d in ds]
     else:
-        raise ValueError(f"unknown scan branch {branch!r}")
+        raise InputError(f"unknown scan branch {branch!r}")
     middle = (g,) if branch == "4A1" else ()
     points: list[ScanPoint] = []
     for params in grid:
@@ -283,8 +279,8 @@ def verify_low_degree_exceptions(tol: Fraction = DEFAULT_TOL) -> LowDegreeReport
     p2 = IntPolynomial((-1, -1, 1))
     p3 = IntPolynomial((-1, -2, 0, 1))
     sign2 = is_skew_reciprocal(p2)
-    skew3 = is_skew_reciprocal_up_to_cyclotomic(p3)
-    _, core3 = strip_cyclotomic(p3)
+    class3 = classify(p3)
+    skew3, core3 = class3.skew_up_to_cyclotomic, class3.core
     root2 = largest_real_root(p2, tol)
     root3 = largest_real_root(p3, tol)
     mu2 = root2.powered(2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from ._immutable import Immutable, set_field
 
@@ -310,12 +310,30 @@ def pseudo_rem(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
     The multiple is |lead(q)|^j for some j no larger than the classical
     pseudo-remainder's exponent, chosen by the lazy scaling of the division.
-    Unlike divrem, it takes no content gcd; the remainder sequences of
-    ``poly_gcd`` and ``roots.sturm_chain`` take primitive parts themselves,
-    so only the sign and the primitive part of this result matter.
+    Unlike divrem, it takes no content gcd; ``remainder_sequence`` takes
+    primitive parts itself, so only the sign and the primitive part of this
+    result matter.
     """
     _, rem, mult = _pseudo_divide(p, q)
     return IntPolynomial(rem) if mult > 0 else -IntPolynomial(rem)
+
+
+def remainder_sequence(f: IntPolynomial, g: IntPolynomial) -> Iterator[IntPolynomial]:
+    """f, g, then the negated primitive pseudo-remainders, up to the last nonzero one.
+
+    With g = f' it is the Sturm sequence of f.  Its last element is
+    gcd(f, g) up to sign and content, as it stops at a constant or before a
+    zero remainder.  g must be nonzero.  A generator, so a caller that
+    wants only the last element holds two remainders at a time.
+    """
+    yield f
+    yield g
+    while g.degree() > 0:
+        rem = pseudo_rem(f, g)
+        if rem.is_zero():
+            return
+        f, g = g, (-rem).primitive_part()
+        yield g
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -327,11 +345,9 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     a, b = p.primitive_part(), q.primitive_part()
     if a.degree() < b.degree():
         a, b = b, a
-    while not b.is_zero():
-        a, b = b, pseudo_rem(a, b).primitive_part()
-    if a.lead < 0:
-        a = -a
-    return a
+    for a in remainder_sequence(a, b):
+        pass
+    return a if a.lead > 0 else -a
 
 
 def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:

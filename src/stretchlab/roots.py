@@ -1,8 +1,9 @@
 """Certified real-root machinery: Sturm chains and dyadic enclosures.
 
 Root counting goes through Sturm chains on the square-free part (primitive
-parts at every step keep coefficient growth in check).  One signed remainder
-sequence both builds the chain and tests square-freeness, so the chain's
+parts at every step keep coefficient growth in check).  One run of
+``poly.remainder_sequence``, the sequence ``poly_gcd`` also takes its gcd
+from, both builds the chain and tests square-freeness, so the chain's
 first element is the square-free certificate that enclosures carry.
 Isolation and refinement use pure dyadic bisection, so every certificate is
 a finite integer computation.  Nothing in this module touches floating
@@ -22,7 +23,7 @@ from .poly import (
     exact_div,
     one,
     poly_gcd,
-    pseudo_rem,
+    remainder_sequence,
     square_free_decomposition,
 )
 
@@ -92,23 +93,12 @@ class SturmChain(Immutable):
         return self.variations_at(a) - self.variations_at(b)
 
 
-def _signed_remainder_sequence(f: IntPolynomial) -> list[IntPolynomial]:
-    # f, f', then the negated primitive remainders, up to the last nonzero one.
-    chain = [f, f.derivative().primitive_part()]
-    while chain[-1].degree() > 0:
-        rem = pseudo_rem(chain[-2], chain[-1])
-        if rem.is_zero():
-            break
-        chain.append((-rem).primitive_part())
-    return chain
-
-
 @functools.lru_cache(maxsize=4096)
 def sturm_chain(p: IntPolynomial) -> SturmChain:
     """Sturm chain of the square-free part of p; ``chain[0]`` is that part.
 
-    The signed primitive remainder sequence runs once on f, the primitive
-    part of p with positive leading coefficient.  If it ends in a nonzero
+    ``remainder_sequence(f, f')`` runs once on f, the primitive part of p
+    with positive leading coefficient.  If it ends in a nonzero
     constant, gcd(f, f') = 1 and f is already square-free.  Otherwise its
     last element is +-gcd(f, f'); f divided by it, normalised the same way,
     is the square-free part of p, and the sequence runs again on that.  A
@@ -120,11 +110,11 @@ def sturm_chain(p: IntPolynomial) -> SturmChain:
     if p.degree() < 1:
         return SturmChain((one(),))
     f = (p if p.lead > 0 else -p).primitive_part()
-    chain = _signed_remainder_sequence(f)
+    chain = list(remainder_sequence(f, f.derivative().primitive_part()))
     if chain[-1].degree() > 0:
         f = exact_div(f, chain[-1])
         f = (f if f.lead > 0 else -f).primitive_part()
-        chain = _signed_remainder_sequence(f)
+        chain = list(remainder_sequence(f, f.derivative().primitive_part()))
     return SturmChain(tuple(chain))
 
 
@@ -287,15 +277,14 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEncl
     bound = cauchy_root_bound(sf)
     a, b = Fraction(0), bound
     v_top = chain.variations_at(bound)
-    if chain.variations_at(a) - v_top == 0:
+    v_a = chain.variations_at(a)  # kept in step with a, which alone moves it
+    if v_a == v_top:
         raise NoRealRootError(f"({p}) has no real root in (0, {bound}]")
-    while True:
-        above = chain.variations_at(a) - v_top
-        if above == 1 and sf.sign_at(a) != 0:
-            break
+    while not (v_a - v_top == 1 and sf.sign_at(a) != 0):
         m = (a + b) / 2
-        if chain.variations_at(m) - v_top >= 1:
-            a = m
+        v_m = chain.variations_at(m)
+        if v_m - v_top >= 1:
+            a, v_a = m, v_m
         else:
             b = m
     lo, hi = _sign_bisect(sf, a, b, tol)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from .classify import classify, is_skew_reciprocal_up_to_cyclotomic
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputError
 from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
 from .roots import (
@@ -44,7 +44,12 @@ BUDGET_ENV = "STRETCHLAB_BUDGET"
 
 def _budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise InputError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
 
 
 class SearchConfig(NamedTuple):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .classify import is_skew_reciprocal_up_to_cyclotomic
-from .errors import CheckFailed
+from .errors import CheckFailed, InputError
 from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
 from .roots import (
@@ -38,7 +38,7 @@ class SharpnessInvariantError(CheckFailed):
 def silver_parameters(k: int) -> tuple[int, int]:
     """(p_k, q_k): the twist offset and its inverse mod 2k."""
     if k < 2:
-        raise ValueError("the family starts at k = 2")
+        raise InputError("the family starts at k = 2")
     p = k + 1 if k % 2 == 0 else k + 2
     q = pow(p, -1, 2 * k)
     return p, q

@@ -20,9 +20,10 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from ._immutable import Immutable, set_field
+from .errors import InputError
 
 
-class InvalidTrackError(ValueError):
+class InvalidTrackError(InputError):
     """The combinatorial data does not describe a train track."""
 
 
@@ -231,17 +232,17 @@ class WeightSpace(NamedTuple):
             raise ValueError("coefficient count must match the dimension")
         n = self.track.n_edges
         out = [Fraction(0)] * n
-        for c, vec in zip(coeffs, self.basis):
+        for c, vec in zip(map(Fraction, coeffs), self.basis):
             for i in range(n):
-                out[i] += Fraction(c) * vec[i]
+                out[i] += c * vec[i]
         return tuple(out)
 
 
 def satisfies_switch_conditions(track: TrainTrack, w: Sequence) -> bool:
     if len(w) != track.n_edges:
         raise ValueError("weight vector length must match the edge count")
-    m = switch_matrix(track)
-    return all(sum(Fraction(c) * Fraction(x) for c, x in zip(row, w)) == 0 for row in m)
+    w = tuple(map(Fraction, w))
+    return all(sum(c * x for c, x in zip(row, w)) == 0 for row in switch_matrix(track))
 
 
 def weight_space(track: TrainTrack) -> WeightSpace:
@@ -255,6 +256,7 @@ def weight_space(track: TrainTrack) -> WeightSpace:
 def thurston_form(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
     """sum over vertices and same-side pairs (e1 left of e2) of
     w_{e1} w2_{e2} - w_{e2} w2_{e1}; exact rational."""
+    w, w2 = tuple(map(Fraction, w)), tuple(map(Fraction, w2))
     if not satisfies_switch_conditions(track, w) or not satisfies_switch_conditions(
         track, w2
     ):
@@ -263,7 +265,8 @@ def thurston_form(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
 
 
 def _omega(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
-    """``thurston_form`` without the switch-condition checks."""
+    """``thurston_form`` without the switch-condition checks or conversions:
+    entries are ints or Fractions."""
     edge_of = track._geometry.edge_of
     total = Fraction(0)
     for v in track.vertices:
@@ -271,7 +274,7 @@ def _omega(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
             for h1, h2 in itertools.combinations(side, 2):
                 e1 = edge_of[h1]
                 e2 = edge_of[h2]
-                total += Fraction(w[e1]) * Fraction(w2[e2]) - Fraction(w[e2]) * Fraction(w2[e1])
+                total += w[e1] * w2[e2] - w[e2] * w2[e1]
     return total
 
 
@@ -412,7 +415,7 @@ def radical_report(track: TrainTrack) -> RadicalReport:
     elements = radical_elements(track)  # radical_element checks the switch conditions
     basis = track._weight_space.basis
     in_rad = all(all(_omega(track, r, b) == 0 for b in basis) for r in elements)
-    span_rank = _rank([tuple(map(Fraction, r)) for r in elements])
+    span_rank = _rank(elements)
     return RadicalReport(
         dimension=dim,
         element_count=len(elements),

@@ -203,8 +203,15 @@ def test_predicate_consistency():
     rng = random.Random(41)
     cases = [random_skew_reciprocal(rng) for _ in range(100)]
     cases += [random_polynomial(rng, 6) for _ in range(200)]
+    # cyclotomic factors and roots at 0 reach the stripped core and the p(0) = 0 path
+    cases += [cyclotomic(rng.choice((1, 2, 3, 4, 6))) * random_skew_reciprocal(rng) for _ in range(50)]
+    cases += [p.shift(1) for p in cases[:20]]
     for p in cases:
-        if p.is_zero() or p.constant_term() == 0:
+        if p.is_zero():
+            continue
+        # the classifier and the predicate decide through one helper
+        assert classify(p).skew_up_to_cyclotomic == is_skew_reciprocal_up_to_cyclotomic(p)
+        if p.constant_term() == 0:
             continue
         if is_skew_reciprocal(p) is not None:
             assert is_skew_reciprocal_up_to_cyclotomic(p)

@@ -30,8 +30,10 @@ from stretchlab.poly import InexactDivisionError, IntPolynomial
 from stretchlab.roots import NoRealRootError, RootEnclosure, ValueInterval
 from stretchlab.sharpness import SharpnessInvariantError, expected_char_poly
 
-#: Stdout of `repro thm-main` and `repro set-theorem`, recorded before the
-#: targets moved out of the CLI module.
+#: Recorded stdout: of `repro thm-main` and `repro set-theorem` from before
+#: the targets moved out of the CLI module, and of the family, search and
+#: sharpness tables from before primitivity, the skew predicate and the
+#: remainder sequence each became one function.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ENCLOSURE_SCHEMA = {
@@ -127,12 +129,61 @@ def test_malformed_json_exits_2(capsys):
     assert main(["classify", "--poly", '{"coeffs": "nope"}']) == 2
 
 
-@pytest.mark.parametrize("coeffs", [["-1", "-1", "1"], ["1", "0", "1"]], ids=["root", "no-root"])
+@pytest.mark.parametrize(
+    "coeffs", [["-1", "-1", "1"], ["1", "0", "1"], ["3"]], ids=["root", "no-root", "constant"]
+)
 def test_zero_tolerance_exits_2_with_or_without_a_positive_root(coeffs, capsys):
-    assert main(["classify", "--poly", json.dumps({"coeffs": coeffs}), "--tol", "0"]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(["classify", "--poly", json.dumps({"coeffs": coeffs}), "--tol", "0"])
+    assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: tolerance must be positive\n"
+    assert captured.err.endswith("error: argument --tol: tolerance must be positive, got '0'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--poly", '{"coeffs":["3"]}'],
+        ["matrix", "--matrix", '{"rows":[[1,1],[1,0]]}'],
+        ["curve-graph", "--matrix", '{"rows":[[1,1],[1,0]]}'],
+        ["family", "--n", "4"],
+        ["sharpness", "--k", "2"],
+        ["search", "--n", "2"],
+        ["repro", "set-theorem"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("tol", ["0", "-1/4"])
+def test_nonpositive_tolerance_is_a_usage_error_on_every_command(argv, tol, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, f"--tol={tol}"])  # "=": a leading "-" would read as an option
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --tol: tolerance must be positive, got '{tol}'" in captured.err
+
+
+def test_traintrack_takes_no_tolerance(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"vertices": [{"sideA": [1], "sideB": [2]}], "edges": [{"ends": [1, 2], "kind": "real"}]}')
+    assert main(["traintrack", "--file", str(path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["traintrack", "--file", str(path), "--tol", "1/4"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol 1/4" in captured.err
+
+
+def test_json_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes('{"coeffs": ["1", "1"], "note": "\u00e9"}'.encode("latin-1"))
+    assert main(["classify", "--poly", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not valid JSON (inline or file): 'utf-8' codec")
 
 
 def test_matrix_command(tmp_path, capsys):
@@ -286,6 +337,8 @@ def test_undecided_comparison_exits_3(monkeypatch, capsys):
         OverflowError("int too large"),
         InexactDivisionError("division is not exact over the integers"),
         decimal.InvalidOperation("quantize result has too many digits"),
+        # a ValueError that no input check raised is a bug too
+        ValueError("enclosure lost its lower end"),
     ],
 )
 def test_internal_error_exits_4_with_traceback(error, monkeypatch, capsys):
@@ -418,6 +471,14 @@ def test_search_budget_exit_code(monkeypatch, capsys):
     assert main(["search", "--n", "3", "--max-entry", "1"]) == 2
 
 
+def test_malformed_search_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("STRETCHLAB_BUDGET", "1e6")
+    assert main(["search", "--n", "2", "--max-entry", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: STRETCHLAB_BUDGET must be an integer, got '1e6'\n"
+
+
 def test_search_dimension_below_1_exits_2(capsys):
     for n in ("0", "-1"):
         assert main(["search", "--n", n, "--max-entry", "1"]) == 2
@@ -452,6 +513,20 @@ def test_repro_thm_main_deterministic_across_threads(capsys):
     assert code1 == code2 == 0
     assert out1 == out2 == (GOLDEN / "repro_thm_main.json").read_text()
     assert json.loads(out1)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["family", "--n", "12"], "family_n12.json"),
+        (["family", "--scan", "5A1", "--n", "12"], "family_scan_5A1_n12.json"),
+        (["search", "--n", "3", "--max-entry", "2"], "search_n3_max2.json"),
+        (["sharpness", "--table", "2..12", "--format", "csv"], "sharpness_table_2_12.csv"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_tables_match_their_golden_bytes(argv, name, capsys):
+    assert run_cli(capsys, *argv) == (0, (GOLDEN / name).read_text())
 
 
 def test_repro_thm_main_builds_each_shared_input_once(monkeypatch, capsys):

@@ -205,6 +205,19 @@ def test_enumerate_matches_the_full_report_filter(n):
     assert enumerate_admissible(n) == expected
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+def test_astar2_forms_match_the_set_based_enumeration(n):
+    # every (a, b, c), a <= b, with max(c, a + b) = n, collected and sorted
+    seen = set()
+    for a in range(1, n):
+        for b in range(a, n - a + 1):
+            if a + b <= n:
+                seen.add((a, b, n))
+            if a + b == n:
+                seen.update((a, b, c) for c in range(1, n + 1))
+    assert [form.params for form in _form_instances("AStar2", n)] == sorted(seen)
+
+
 def test_quotient_exact_examples():
     assert exact_div(P((-1, -2, 0, 1)), P((1, 1))) == P((-1, -1, 1))
     assert exact_div(P((-1, -2, -1, 0, 1)), P((1, 1, 1))) == P((-1, -1, 1))

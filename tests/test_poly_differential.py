@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import poly_reference as ref
 from stretchlab.families import enumerate_admissible
-from stretchlab.poly import IntPolynomial, _pseudo_divide, divrem, pseudo_rem
+from stretchlab.poly import IntPolynomial, _pseudo_divide, divrem, poly_gcd, pseudo_rem
 from stretchlab.roots import largest_real_root, sturm_chain
 from stretchlab.sharpness import expected_char_poly
 
@@ -54,6 +54,19 @@ def test_lazy_pseudo_division_invariant(p, q):
 @given(polys, nonzero_polys)
 def test_pseudo_rem_primitive_part_matches_reference(p, q):
     assert pseudo_rem(p, q).primitive_part() == ref.pseudo_rem(p, q).primitive_part()
+
+
+# a shared factor h, which independent polynomials almost never have
+sharing = st.tuples(small, nonzero_polys, nonzero_polys).map(lambda h: (h[0] * h[1], h[0] * h[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(polys, nonzero_polys), sharing))
+@example((P((6,)), P((4, 2))))  # constants: gcd 1, as the content is dropped
+@example((P((-1, -1, 1)) * P((1, 1)), -P((-1, -1, 1)) * P((2, -1))))
+def test_poly_gcd_matches_reference(pq):
+    p, q = pq
+    assert poly_gcd(p, q) == poly_gcd(q, p) == ref.poly_gcd(p, q)
 
 
 @settings(max_examples=300, deadline=None)
