@@ -3,7 +3,7 @@
 the root isolation beside the test suite's references.
 
 The search rows time ``run_search`` (one matrix per orbit of
-S_n x <transpose>) and the brute-force reference, which decodes and filters
+S_n x <transpose>) and the brute-force reference, which walks and filters
 every matrix of the slice.  The stripping row times ``strip_cyclotomic``
 (which divides only where Phi_m(2) divides the value at 2) and plain trial
 division on the parity survivors of the five families at n = 16.  The
@@ -40,7 +40,7 @@ from pathlib import Path
 import stretchlab
 from stretchlab import _kernels, cli
 from stretchlab.classify import parity_condition, strip_cyclotomic
-from stretchlab.curvegraph import verify_clique_identity
+from stretchlab.curvegraph import cycle_classes, verify_clique_identity
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
 from stretchlab.matrices import IntMatrix
 from stretchlab.roots import largest_real_root, sturm_chain
@@ -125,7 +125,7 @@ def main():
         ),
         (
             f"cycle classes 4x4 x{len(clique_mats)}",
-            lambda: [_kernels.simple_cycle_classes(r, 10**5) for r in clique_mats],
+            lambda: [cycle_classes(m, 10**5) for m in clique_matrices],
         ),
         (
             f"digraph structure 6x6 x{n_mats}",

@@ -323,6 +323,8 @@ def _cmd_family(args) -> int:
     from .families import ALL_FORMS, enumerate_admissible, monotonicity_scan
     from .roots import compare_power_to_silver_squared, silver_ratio_squared
 
+    if args.d is not None and not args.scan:
+        raise InputError("--d applies only with --scan")
     if args.scan:
         ds = _parse_range(args.d) if args.d else None
         result = monotonicity_scan(args.scan, args.n, ds, args.tol)
@@ -533,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="enumerate admissible family polynomials")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--forms", help="comma list of 2A1,3A1,4A1,5A1,AStar2 (default all)")
-    p.add_argument("--scan", help="monotonicity scan branch: 3A1, 4A1 or 5A1")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--forms", help="comma list of 2A1,3A1,4A1,5A1,AStar2 (default all)")
+    which.add_argument("--scan", help="monotonicity scan branch: 3A1, 4A1 or 5A1")
     p.add_argument("--d", help="scan parameter range, e.g. 0..5")
     p.add_argument("--report", dest="out", help="write the report to this path")
     common(p)
@@ -569,6 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # reports print exact integers of any size, past Python's default
+    # int <-> str digit limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -20,16 +20,13 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _kernels
-from .errors import CheckFailed
+from .errors import CapExceeded, CheckFailed
 from .matrices import IntMatrix, char_poly
 from .poly import IntPolynomial
 from .roots import DEFAULT_TOL, RootEnclosure, largest_root_above_one
 
 DEFAULT_CYCLE_CAP = 10**5
 DEFAULT_CLIQUE_GUARD = 10**6
-
-CapExceeded = _kernels.CapExceeded
 
 
 class GrowthRateError(CheckFailed):
@@ -79,10 +76,44 @@ class CurveGraph(NamedTuple):
         return tuple(c.weight for c in self.cycles)
 
 
-def cycle_classes(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP):
+def cycle_classes(
+    a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """Vertex-simple directed cycles of a nonnegative matrix, up to rotation.
+
+    Returns (vertex mask, canonical vertex tuple, multiplicity) triples,
+    multiplicity being the product of entry values along the cycle; the
+    expanded curve count (sum of multiplicities) is capped by ``cap``.
+    Canonical representative: rotation starting at the smallest vertex.
+    """
     if not a.is_nonnegative():
         raise ValueError("cycle enumeration needs a nonnegative matrix")
-    return _kernels.simple_cycle_classes(a.rows, cap)
+    rows = a.rows
+    n = len(rows)
+    classes: list[tuple[int, tuple[int, ...], int]] = []
+    total = 0
+    path: list[int] = []
+
+    def extend(start: int, u: int, mask: int, mult: int):
+        nonlocal total
+        closing = rows[u][start]
+        if closing:
+            m = mult * closing
+            total += m
+            if total > cap:
+                raise CapExceeded(f"cycle cap {cap} exceeded")
+            classes.append((mask, tuple(path), m))
+        for v in range(start + 1, n):
+            if rows[u][v] and not mask >> v & 1:
+                path.append(v)
+                extend(start, v, mask | 1 << v, mult * rows[u][v])
+                path.pop()
+
+    for s in range(n):
+        path = [s]
+        extend(s, s, 1 << s, 1)
+    classes.sort(key=lambda c: (len(c[1]), c[1]))
+    return classes
 
 
 def simple_cycles(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> list[SimpleCycle]:
@@ -103,13 +134,39 @@ def curve_graph(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> CurveGraph:
     return CurveGraph(n=a.n, cycles=tuple(cycles), classes=classes)
 
 
+def _clique_coefficients(classes, n: int, guard: int) -> tuple[int, ...]:
+    """Clique polynomial coefficients (low to high) over cycle classes.
+
+    A clique picks pairwise vertex-disjoint classes; parallel curves inside
+    one class multiply the count.  Each clique contributes
+    (-1)^size * (product of multiplicities) * t^(total weight).
+    """
+    coeffs = [0] * (n + 1)
+    coeffs[0] = 1
+    items = [(mask, len(verts), mult) for mask, verts, mult in classes]
+    count = 0
+
+    def rec(start: int, used: int, sign: int, weight: int, mult: int):
+        nonlocal count
+        for idx in range(start, len(items)):
+            mask, w, m = items[idx]
+            if mask & used:
+                continue
+            count += 1
+            if count > guard:
+                raise CapExceeded(f"clique guard {guard} exceeded")
+            coeffs[weight + w] += sign * mult * m
+            rec(idx + 1, used | mask, -sign, weight + w, mult * m)
+
+    rec(0, 0, -1, 0, 1)
+    return tuple(coeffs)
+
+
 def clique_polynomial(
     g: CurveGraph, guard: int = DEFAULT_CLIQUE_GUARD
 ) -> IntPolynomial:
     """Q(t) = 1 + sum over nonempty cliques K of (-1)^|K| t^(sum of weights)."""
-    return IntPolynomial(
-        _kernels.clique_polynomial_from_classes(list(g.classes), g.n, guard)
-    )
+    return IntPolynomial(_clique_coefficients(g.classes, g.n, guard))
 
 
 def verify_clique_identity(
@@ -118,7 +175,7 @@ def verify_clique_identity(
     guard: int = DEFAULT_CLIQUE_GUARD,
 ) -> bool:
     """Exact check of Q(t) = t^n chi_A(1/t)."""
-    q = _kernels.clique_polynomial_from_classes(cycle_classes(a, cap), a.n, guard)
+    q = _clique_coefficients(cycle_classes(a, cap), a.n, guard)
     return IntPolynomial(q) == char_poly(a).reverse()
 
 

@@ -104,9 +104,10 @@ def matrix_to_json(a: IntMatrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> IntMatrix:
-    if not isinstance(data, dict) or "rows" not in data:
-        raise ValueError("matrix JSON must be an object with a 'rows' field")
-    return IntMatrix([int(e) for e in row] for row in data["rows"])
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix JSON must be an object with a 'rows' list of lists")
+    return IntMatrix([int(e) for e in row] for row in rows)
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:

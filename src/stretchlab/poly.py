@@ -452,6 +452,6 @@ def poly_to_json(p: IntPolynomial) -> dict:
 
 
 def poly_from_json(data: dict) -> IntPolynomial:
-    if not isinstance(data, dict) or "coeffs" not in data:
-        raise ValueError("polynomial JSON must be an object with a 'coeffs' field")
+    if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+        raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
     return IntPolynomial(int(c) for c in data["coeffs"])

@@ -9,22 +9,36 @@ overlap can never produce a false positive).
 
 The filter and the characteristic polynomial are invariant under
 A -> P A P^T and A -> A^T, so the scan visits one canonical matrix per orbit
-of S_n x <transpose> (``_kernels.canonical_codes``) and splits the canonical
-(n-1) x (n-1) matrices it extends across the worker pool.  Matrices that
-pass the filter are classified once per distinct characteristic polynomial;
-a class counts every matrix in its orbits, and the argmin tie-break is the
-lexicographically least entry tuple among them, so results are independent
-of worker count.
+of S_n x <transpose>, by orderly generation (Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978; McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  The *code* of a k x k matrix lists its entries
+vertex by vertex: a[v][v], then the pairs (a[v][j], a[j][v]) for j < v.  So
+every leading principal submatrix is a prefix of the code, and the transpose
+swaps within each pair.  A code is canonical when no image has a larger code.
+Canonicity is hereditary: an image of the prefix that beats it extends,
+fixing the new vertex, to an image of the whole that beats it.  So the
+canonical k-codes are exactly the canonical extensions of the canonical
+(k-1)-codes, and the scan splits the canonical (n-1)-codes it extends across
+the worker pool.
+
+Matrices that pass the filter are classified once per distinct
+characteristic polynomial.  An orbit is the set of row-major entry tuples of
+its matrices; a class counts every matrix in its orbits, and the argmin
+tie-break is the least entry tuple among them, so results are independent of
+worker count.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache
+from itertools import permutations, product
 from multiprocessing import Pool
+from operator import itemgetter
 from typing import NamedTuple
 
-from . import _kernels
+from ._kernels import charpoly, determinant, digraph_structure
 from .classify import classify, is_skew_reciprocal_up_to_cyclotomic
 from .errors import BudgetExceededError, InputError
 from .matrices import IntMatrix, char_poly, is_primitive
@@ -84,18 +98,123 @@ class SearchResult(NamedTuple):
     )
 
 
+# -- the orbit search ---------------------------------------------------
+
+
+def primitive_unit_det_charpoly(rows) -> tuple[int, ...] | None:
+    """The char poly of a primitive matrix with |det| = 1, else None.
+
+    The search filter: a Bareiss |det| of 1 first, since on the search's
+    sizes it rejects most candidates for less than the structure test
+    costs, then strongly connected with period 1 (for a nonnegative matrix,
+    primitive), and only then the char poly.
+    """
+    if abs(determinant(rows)) != 1 or digraph_structure(rows) != (True, 1):
+        return None
+    return charpoly(rows)
+
+
+def _position(i: int, j: int) -> int:
+    """Where entry (i, j) sits in a code."""
+    if i == j:
+        return i * i
+    if i > j:
+        return i * i + 1 + 2 * j
+    return j * j + 2 + 2 * i
+
+
+def _getter(positions: tuple[int, ...]):
+    if len(positions) == 1:  # itemgetter(p) returns the item, not a 1-tuple
+        p = positions[0]
+        return lambda code: (code[p],)
+    return itemgetter(*positions)
+
+
+@cache
+def _symmetries(k: int) -> tuple[list, list]:
+    """Getters for the images of a k x k code under S_k x <transpose>.
+
+    The first list maps a code to the code of each non-identity image, for
+    the canonicity test; the second maps it to the row-major entries of every
+    image, the identity first.
+    """
+    cells = []  # code order
+    for v in range(k):
+        cells.append((v, v))
+        for j in range(v):
+            cells += [(v, j), (j, v)]
+    row_major = [(i, j) for i in range(k) for j in range(k)]
+    # image (perm, flip): entry (i, j) is a[perm[i]][perm[j]], transposed if flip
+    sources = [
+        {
+            (i, j): _position(perm[j], perm[i]) if flip else _position(perm[i], perm[j])
+            for i, j in row_major
+        }
+        for perm in permutations(range(k))
+        for flip in (False, True)
+    ]
+    codes = {tuple(src[c] for c in cells) for src in sources} - {tuple(range(k * k))}
+    rows = dict.fromkeys(tuple(src[c] for c in row_major) for src in sources)
+    return [_getter(c) for c in sorted(codes)], [_getter(r) for r in rows]
+
+
+def canonical_codes(n: int, max_entry: int) -> list[tuple[int, ...]]:
+    """The canonical code of every orbit of n x n matrices over 0..max_entry."""
+    codes: list[tuple[int, ...]] = [()]
+    for k in range(1, n + 1):
+        codes = _canonical_extensions(codes, k, max_entry + 1)
+    return codes
+
+
+def _canonical_extensions(parents, k: int, base: int) -> list[tuple[int, ...]]:
+    images = _symmetries(k)[0]
+    tails = list(product(range(base), repeat=2 * k - 1))
+    out = []
+    for parent in parents:
+        for tail in tails:
+            code = parent + tail
+            if not any(image(code) > code for image in images):
+                out.append(code)
+    return out
+
+
+def _rows(flat: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    return [flat[r * n : (r + 1) * n] for r in range(n)]
+
+
+def code_rows(code: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """The rows of the n x n matrix with this code."""
+    return _rows(_symmetries(n)[1][0](code), n)
+
+
+def scan_orbits(n: int, max_entry: int, parents) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(code, chi) of every canonical n x n extension of ``parents`` (canonical
+    (n-1)-codes) that passes ``primitive_unit_det_charpoly``."""
+    out = []
+    for code in _canonical_extensions(parents, n, max_entry + 1):
+        chi = primitive_unit_det_charpoly(code_rows(code, n))
+        if chi is not None:
+            out.append((code, chi))
+    return out
+
+
+def _orbit(code: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
+    """The row-major entry tuples of every matrix in the orbit of ``code``."""
+    return {image(code) for image in _symmetries(n)[1]}
+
+
 def _survivors(cfg: SearchConfig, threads: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(canonical code, chi) of every orbit that passes the filter."""
-    parents = _kernels.canonical_codes(cfg.n - 1, cfg.max_entry)
+    parents = canonical_codes(cfg.n - 1, cfg.max_entry)
     if threads <= 1:
-        return _kernels.scan_orbits(cfg.n, cfg.max_entry, parents)
+        return scan_orbits(cfg.n, cfg.max_entry, parents)
     step = max(1, len(parents) // (threads * 8))
     chunks = [
         (cfg.n, cfg.max_entry, parents[start : start + step])
         for start in range(0, len(parents), step)
     ]
     with Pool(threads) as pool:
-        parts = pool.starmap(_kernels.scan_orbits, chunks)
+        parts = pool.starmap(scan_orbits, chunks)
     return [survivor for part in parts for survivor in part]
 
 
@@ -111,7 +230,6 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
     for code, chi in _survivors(cfg, threads):
         by_poly.setdefault(chi, []).append(code)
 
-    base = cfg.max_entry + 1
     classes: list[QualifyingClass] = []
     count_qualifying = 0
     for coeffs in sorted(by_poly):
@@ -121,18 +239,15 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
         root = largest_root_above_one(poly, cfg.tol)
         if root is None:
             continue  # spectral radius not > 1
-        indices = set().union(
-            *(_kernels.orbit_indices(code, cfg.n, base) for code in by_poly[coeffs])
-        )
-        count_qualifying += len(indices)
-        least = IntMatrix(_kernels.decode_matrix(min(indices), cfg.n, base))
+        members = set().union(*(_orbit(code, cfg.n) for code in by_poly[coeffs]))
+        count_qualifying += len(members)
         classes.append(
             QualifyingClass(
                 char_poly=poly,
                 root=root,
                 normalized=root.powered(cfg.n),
-                matrix_count=len(indices),
-                least_matrix=least,
+                matrix_count=len(members),
+                least_matrix=IntMatrix(_rows(min(members), cfg.n)),
             )
         )
 

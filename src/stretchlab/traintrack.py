@@ -436,10 +436,22 @@ def track_to_json(track: TrainTrack) -> dict:
     }
 
 
+def _half_edge_ids(ids) -> list[int]:
+    """A side or an edge's ends: a JSON list of int ids (a bool is not an id)."""
+    if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+        raise InvalidTrackError("sides and edge ends must be lists of int half-edge ids")
+    return ids
+
+
 def track_from_json(data: dict) -> TrainTrack:
     try:
-        vertices = [(v["sideA"], v["sideB"]) for v in data["vertices"]]
-        edges = [((e["ends"][0], e["ends"][1]), e["kind"]) for e in data["edges"]]
+        vertices = [
+            (_half_edge_ids(v["sideA"]), _half_edge_ids(v["sideB"])) for v in data["vertices"]
+        ]
+        edges = []
+        for e in data["edges"]:
+            ends = _half_edge_ids(e["ends"])
+            edges.append(((ends[0], ends[1]), e["kind"]))
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidTrackError(f"malformed track JSON: {exc}") from exc
     return TrainTrack(vertices, edges)

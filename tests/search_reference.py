@@ -1,6 +1,6 @@
 """Brute-force reference for ``stretchlab.search.run_search``.
 
-It decodes every index of the slice, keeps the matrices that are primitive
+It walks every matrix of the slice in row-major lexicographic order, keeps the matrices that are primitive
 with |det| = 1 (``is_primitive`` and Bareiss ``determinant``), and classifies
 each distinct char poly.  It visits every matrix, so it is meant for the
 slices brute force covers: n <= 4 over {0,1}, n <= 3 over {0,1,2}.
@@ -9,8 +9,8 @@ slices brute force covers: n <= 4 over {0,1}, n <= 3 over {0,1,2}.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import product
 
-from stretchlab._kernels import decode_matrix
 from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic
 from stretchlab.matrices import IntMatrix, char_poly, determinant, is_primitive
 from stretchlab.roots import (
@@ -24,12 +24,13 @@ from stretchlab.search import QualifyingClass, SearchConfig, SearchResult
 
 
 def brute_force_search(cfg: SearchConfig) -> SearchResult:
-    base = cfg.max_entry + 1
+    n = cfg.n
     by_poly: dict = {}
-    for index in range(cfg.space_size):
-        a = IntMatrix(decode_matrix(index, cfg.n, base))
+    # in this order, the first matrix of each class is its least one
+    for cells in product(range(cfg.max_entry + 1), repeat=n * n):
+        a = IntMatrix(cells[r * n : (r + 1) * n] for r in range(n))
         if abs(determinant(a)) == 1 and is_primitive(a).primitive:
-            by_poly.setdefault(char_poly(a), []).append(index)
+            by_poly.setdefault(char_poly(a), []).append(a)
 
     classes = []
     for poly in sorted(by_poly, key=lambda p: p.coeffs):
@@ -38,14 +39,14 @@ def brute_force_search(cfg: SearchConfig) -> SearchResult:
         if real_roots_in_interval(poly, 1, cauchy_root_bound(poly)) == 0:
             continue
         root = largest_real_root(poly, cfg.tol)
-        indices = by_poly[poly]
+        members = by_poly[poly]
         classes.append(
             QualifyingClass(
                 char_poly=poly,
                 root=root,
                 normalized=root.powered(cfg.n),
-                matrix_count=len(indices),
-                least_matrix=IntMatrix(decode_matrix(min(indices), cfg.n, base)),
+                matrix_count=len(members),
+                least_matrix=members[0],
             )
         )
 

@@ -127,6 +127,11 @@ def test_classify_dispatch_example(capsys):
 def test_malformed_json_exits_2(capsys):
     assert main(["classify", "--poly", "{bad json"]) == 2
     assert main(["classify", "--poly", '{"coeffs": "nope"}']) == 2
+    # wire lists must be JSON lists: a string is not read as its characters
+    assert main(["classify", "--poly", '{"coeffs": "12"}']) == 2
+    assert main(["matrix", "--matrix", '{"rows": [[1, 2], "34"]}']) == 2
+    assert main(["curve-graph", "--matrix", '{"rows": "ab"}']) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -227,6 +232,13 @@ def test_family_unknown_forms_tag_exits_2(forms, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: unknown --forms tag(s) ")
     assert "valid tags: 2A1,3A1,4A1,5A1,AStar2 or all" in captured.err
+
+
+def test_family_d_without_scan_exits_2(capsys):
+    assert main(["family", "--n", "12", "--d", "0..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --d applies only with --scan\n"
 
 
 def test_family_scan_command(capsys):
@@ -382,8 +394,15 @@ def test_failed_check_exits_1(error, monkeypatch, capsys):
         ["curve-graph"],
         ["sharpness"],
         ["sharpness", "--k", "3", "--table", "2..4"],
+        ["family", "--scan", "3A1", "--n", "12", "--forms", "2A1"],
     ],
-    ids=["matrix-no-matrix", "curve-graph-no-matrix", "sharpness-neither", "sharpness-both"],
+    ids=[
+        "matrix-no-matrix",
+        "curve-graph-no-matrix",
+        "sharpness-neither",
+        "sharpness-both",
+        "family-scan-and-forms",
+    ],
 )
 def test_missing_or_conflicting_input_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -458,12 +477,26 @@ def test_traintrack_bad_file_exits_2(tmp_path, capsys):
         '{"vertices": [], "edges": [{"ends": [1], "kind": "real"}]}',
         # a side that is a bare id, not a list: a TypeError inside TrainTrack
         '{"vertices": [{"sideA": 1, "sideB": [2]}], "edges": []}',
+        # a side given as a string is not read as its characters
+        '{"vertices": [{"sideA": "ab", "sideB": [2]}], "edges": []}',
+        # half-edge ids are ints: a string id, and a bool, which is no int here
+        '{"vertices": [{"sideA": [1], "sideB": ["a"]}], "edges": [{"ends": [1, "a"], "kind": "real"}]}',
+        '{"vertices": [{"sideA": [true], "sideB": [2]}], "edges": [{"ends": [true, 2], "kind": "real"}]}',
     ):
         path.write_text(text)
         assert main(["traintrack", "--file", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bad train track")
+
+
+def test_matrix_report_prints_integers_past_the_str_digit_limit(tmp_path, capsys):
+    # rho^3 has over 4,300 digits, Python's default int -> str limit
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"rows": [[10**1500, 1, 0], [0, 0, 1], [1, 0, 0]]}))
+    code, out = run_cli(capsys, "matrix", "--file", str(path))
+    assert code == 0
+    assert json.loads(out)["normalized_spectral_radius"]["decimal"] == "1.000000000E+4500"
 
 
 def test_search_budget_exit_code(monkeypatch, capsys):

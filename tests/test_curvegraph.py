@@ -5,7 +5,6 @@ import random
 import pytest
 
 from stretchlab.curvegraph import (
-    CapExceeded,
     GrowthRateError,
     clique_polynomial,
     curve_graph,
@@ -15,6 +14,7 @@ from stretchlab.curvegraph import (
     simple_cycles,
     verify_clique_identity,
 )
+from stretchlab.errors import CapExceeded
 from stretchlab.matrices import IntMatrix, is_primitive, spectral_radius
 from stretchlab.poly import IntPolynomial
 
@@ -167,24 +167,24 @@ def test_negative_matrix_rejected():
     ],
 )
 def test_curve_graph_report_computes_each_quantity_once(rows, monkeypatch):
-    import stretchlab._kernels
+    from stretchlab import _kernels, curvegraph
 
     m = IntMatrix(rows)
     identity = verify_clique_identity(m)
-    names = ("simple_cycle_classes", "clique_polynomial_from_classes", "charpoly")
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(stretchlab._kernels, name)
+    patched = (
+        (curvegraph, "cycle_classes"),
+        (curvegraph, "_clique_coefficients"),
+        (_kernels, "charpoly"),
+    )
+    calls = {name: 0 for _, name in patched}
+    for module, name in patched:
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(stretchlab._kernels, name, counted)
+        monkeypatch.setattr(module, name, counted)
     report = curve_graph_report(m)
-    assert calls == {
-        "simple_cycle_classes": 1,
-        "clique_polynomial_from_classes": 1,
-        "charpoly": 1,
-    }
+    assert calls == {"cycle_classes": 1, "_clique_coefficients": 1, "charpoly": 1}
     assert report["identity_ok"] is identity is True

@@ -42,6 +42,9 @@ EXPORTED = (
 #: nothing pulls in `dataclasses` and, through it, `inspect`.
 NEVER = ("numpy", "dataclasses", "inspect")
 
+#: Loaded by no command but `search` and `repro`: the orbit search lives there.
+NO_SEARCH = NEVER + ("stretchlab.search",)
+
 #: Loaded by none of `import stretchlab.cli` and a `classify` query.
 HEAVY = NEVER + (
     "multiprocessing",
@@ -93,13 +96,13 @@ def loaded_after(argv) -> set[str]:
         (None, HEAVY),
         (["classify", "--poly", '{"coeffs":["-1","-2","-1","0","1"]}'], HEAVY),
         # nonnegative, not primitive: Perron-Frobenius, so no gate
-        (["matrix", "--matrix", json.dumps(PERIOD_4)], NEVER),
+        (["matrix", "--matrix", json.dumps(PERIOD_4)], NO_SEARCH),
         # the spectral-radius gate of a signed matrix is exact
-        (["matrix", "--matrix", json.dumps(SIGNED)], NEVER),
-        (["curve-graph", "--matrix", json.dumps(PERIOD_4)], NEVER),
-        (["traintrack", "--file", "{track}"], NEVER),
-        (["family", "--n", "6"], NEVER),
-        (["sharpness", "--k", "3"], NEVER),
+        (["matrix", "--matrix", json.dumps(SIGNED)], NO_SEARCH),
+        (["curve-graph", "--matrix", json.dumps(PERIOD_4)], NO_SEARCH),
+        (["traintrack", "--file", "{track}"], NO_SEARCH),
+        (["family", "--n", "6"], NO_SEARCH),
+        (["sharpness", "--k", "3"], NO_SEARCH),
         (["search", "--n", "3", "--max-entry", "1"], NEVER),
         (["repro", "set-theorem"], NEVER),
     ],

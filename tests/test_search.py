@@ -1,9 +1,11 @@
 """Exhaustive matrix searches and the single-matrix witness pipeline."""
 
+from itertools import product
+
 import pytest
 from search_reference import brute_force_search
 
-from stretchlab import _kernels
+from stretchlab import search
 from stretchlab.families import enumerate_admissible
 from stretchlab.matrices import IntMatrix
 from stretchlab.poly import IntPolynomial
@@ -77,26 +79,23 @@ def test_orbit_search_matches_brute_force(n, max_entry):
 
 @pytest.mark.parametrize("n, max_entry", BRUTE_FORCE_SLICES)
 def test_orbits_partition_the_slice(n, max_entry):
-    # Burnside: the orbits of the canonical codes cover every index once
+    # Burnside: the orbits of the canonical codes cover every matrix once
     base = max_entry + 1
-    codes = _kernels.canonical_codes(n, max_entry)
-    orbits = [_kernels.orbit_indices(code, n, base) for code in codes]
+    codes = search.canonical_codes(n, max_entry)
+    orbits = [search._orbit(code, n) for code in codes]
     assert sum(map(len, orbits)) == base ** (n * n)
-    assert set().union(*orbits) == set(range(base ** (n * n)))
+    assert set().union(*orbits) == set(product(range(base), repeat=n * n))
     for code, orbit in zip(codes, orbits):
         # each orbit holds the matrix whose code represents it
-        rows = _kernels.code_rows(code, n)
-        index = 0
-        for entry in (e for row in rows for e in row):
-            index = index * base + entry
-        assert index in orbit
+        rows = search.code_rows(code, n)
+        assert tuple(e for row in rows for e in row) in orbit
 
 
 def test_orbit_counts():
     # one matrix per orbit of S_n x <transpose>
-    assert len(_kernels.canonical_codes(3, 1)) == 74
-    assert len(_kernels.canonical_codes(4, 1)) == 1740
-    assert len(_kernels.canonical_codes(3, 2)) == 1950
+    assert len(search.canonical_codes(3, 1)) == 74
+    assert len(search.canonical_codes(4, 1)) == 1740
+    assert len(search.canonical_codes(3, 2)) == 1950
 
 
 def test_search_budget_guard():
