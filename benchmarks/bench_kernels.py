@@ -4,7 +4,11 @@ the root isolation beside the test suite's references.
 
 The search rows time ``run_search`` (one matrix per orbit of
 S_n x <transpose>) and the brute-force reference, which walks and filters
-every matrix of the slice.  The stripping row times ``strip_cyclotomic``
+every matrix of the slice.  The scan rows time the last level of the orbit
+search, ``scan_orbits`` (each parent factored once, so |det| and the char
+poly of every extension come from bordering), and the reference scan, which
+tests canonicity on every extension and filters each canonical one with a
+Bareiss determinant and a full char poly.  The stripping row times ``strip_cyclotomic``
 (which divides only where Phi_m(2) divides the value at 2) and plain trial
 division on the parity survivors of the five families at n = 16.  The
 root-isolation rows time ``largest_real_root`` (one remainder sequence per
@@ -44,7 +48,7 @@ from stretchlab.curvegraph import cycle_classes, verify_clique_identity
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
 from stretchlab.matrices import IntMatrix
 from stretchlab.roots import largest_real_root, sturm_chain
-from stretchlab.search import SearchConfig, run_search
+from stretchlab.search import SearchConfig, canonical_codes, run_search, scan_orbits
 from stretchlab.sharpness import build_matrix, expected_char_poly
 from stretchlab.traintrack import track_to_json
 
@@ -52,7 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import poly_reference  # noqa: E402
 from conftest import bigon_track  # noqa: E402
 from cyclotomic_reference import strip_by_trial_division  # noqa: E402
-from search_reference import brute_force_search  # noqa: E402
+from search_reference import brute_force_search, reference_scan_orbits  # noqa: E402
 
 
 def timed(fn):
@@ -165,6 +169,15 @@ def main():
         assert orbit == brute, f"orbit search differs from brute force on {cfg}"
         name = f"n={n} entries<={max_entry} ({cfg.space_size})"
         print(f"{name:<38} {t_orbit:>9.3f}s {t_brute:>9.3f}s {t_brute / t_orbit:>8.1f}x")
+
+    print(f"\n{'scan_orbits':<38} {'bordered':>10} {'reference':>10} {'ratio':>9}")
+    for n, max_entry in ((4, 1), (3, 2)):
+        parents = canonical_codes(n - 1, max_entry)
+        t_scan, scanned = timed(lambda: scan_orbits(n, max_entry, parents))
+        t_ref, reference = timed(lambda: reference_scan_orbits(n, max_entry, parents))
+        assert scanned == reference, f"scan_orbits differs from the reference at n={n}"
+        name = f"n={n} entries<={max_entry} x{len(parents)} parents"
+        print(f"{name:<38} {t_scan:>9.3f}s {t_ref:>9.3f}s {t_ref / t_scan:>8.1f}x")
 
     candidates = {
         instantiate(form, 16) for tag in ALL_FORMS for form in _form_instances(tag, 16)

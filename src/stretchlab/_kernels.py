@@ -1,9 +1,10 @@
 """Shared matrix kernels: characteristic polynomial, determinant and digraph
 structure.
 
-``matrices`` and the search filter (``search.primitive_unit_det_charpoly``)
-both call them.  All functions take plain nested sequences of Python ints and
-return plain ints and tuples.  Everything is exact.
+``matrices`` calls all three.  The exhaustive search calls ``charpoly`` once
+per parent matrix and ``digraph_structure`` on the extensions that pass
+``|det| = 1`` and canonicity; it never calls ``determinant``.  All functions take plain nested sequences of Python ints
+and return plain ints and tuples.  Everything is exact.
 """
 
 from __future__ import annotations

@@ -21,6 +21,15 @@ canonical k-codes are exactly the canonical extensions of the canonical
 (k-1)-codes, and the scan splits the canonical (n-1)-codes it extends across
 the worker pool.
 
+The scan factors each parent B, an m x m matrix with m = n - 1, once.  With
+p = charpoly(B) and adj(tI - B) = sum_k t^k N_k (N_(m-1) = I,
+N_(k-1) = B N_k + p_k I), the extension A = [[B, c], [r, d]] has
+chi_A(t) = (t - d) p(t) - sum_k t^k (r N_k c) and
+det A = (-1)^n (-d p_0 - r N_0 c), exactly over Z, for singular B too.  So
+|det A| = 1 is a lookup in the parent's table of r N_0 c, and only the tails
+that pass it reach the canonicity test; the primitive ones among those get
+their char poly from the same identity.
+
 Matrices that pass the filter are classified once per distinct
 characteristic polynomial.  An orbit is the set of row-major entry tuples of
 its matrices; a class counts every matrix in its orbits, and the argmin
@@ -34,11 +43,10 @@ import os
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from multiprocessing import Pool
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
-from ._kernels import charpoly, determinant, digraph_structure
+from ._kernels import charpoly, digraph_structure
 from .classify import classify, is_skew_reciprocal_up_to_cyclotomic
 from .errors import BudgetExceededError, InputError
 from .matrices import IntMatrix, char_poly, is_primitive
@@ -99,19 +107,6 @@ class SearchResult(NamedTuple):
 
 
 # -- the orbit search ---------------------------------------------------
-
-
-def primitive_unit_det_charpoly(rows) -> tuple[int, ...] | None:
-    """The char poly of a primitive matrix with |det| = 1, else None.
-
-    The search filter: a Bareiss |det| of 1 first, since on the search's
-    sizes it rejects most candidates for less than the structure test
-    costs, then strongly connected with period 1 (for a nonnegative matrix,
-    primitive), and only then the char poly.
-    """
-    if abs(determinant(rows)) != 1 or digraph_structure(rows) != (True, 1):
-        return None
-    return charpoly(rows)
 
 
 def _position(i: int, j: int) -> int:
@@ -187,14 +182,85 @@ def code_rows(code: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return _rows(_symmetries(n)[1][0](code), n)
 
 
+def _adjugate_terms(b, p) -> list[list[list[int]]]:
+    """N_0, ..., N_(m-1) with adj(tI - B) = sum_k t^k N_k, for p = charpoly(B).
+
+    N_(m-1) = I and N_(k-1) = B N_k + p_k I (Faddeev-LeVerrier), exact over Z
+    for singular B too.  A 0 x 0 B has the one term [], so that r N_0 c = 0.
+    """
+    m = len(b)
+    term = [[int(i == j) for j in range(m)] for i in range(m)]
+    terms = [term]
+    for k in range(m - 1, 0, -1):
+        term = [_row_times(row, term) for row in b]
+        for i in range(m):
+            term[i][i] += p[k]
+        terms.append(term)
+    return terms[::-1]
+
+
+def _row_times(r, matrix) -> list[int]:
+    """The row vector r times ``matrix``."""
+    return [sum(map(mul, r, col)) for col in zip(*matrix)]
+
+
+def _bordered_charpoly(p, u, c, d) -> tuple[int, ...]:
+    """chi of [[B, c], [r, d]] from p = charpoly(B) and u = [r N_k for each k]:
+    (t - d) p(t) - sum_k t^k (r N_k c)."""
+    chi = [0, *p]
+    for k, a in enumerate(p):
+        chi[k] -= d * a
+    for k, uk in enumerate(u):
+        chi[k] -= sum(map(mul, uk, c))
+    return tuple(chi)
+
+
+@cache
+def _tails(m: int, base: int):
+    """The new rows and columns r, c over 0..base-1, and every (r, c) part of
+    an extension's tail (r_0, c_0, r_1, c_1, ...) in ``product`` order, with
+    the indices of its r and c."""
+    vectors = list(product(range(base), repeat=m))
+    index = {v: i for i, v in enumerate(vectors)}
+    pairs = [
+        (rc, index[rc[0::2]], index[rc[1::2]]) for rc in product(range(base), repeat=2 * m)
+    ]
+    return vectors, pairs
+
+
 def scan_orbits(n: int, max_entry: int, parents) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(code, chi) of every canonical n x n extension of ``parents`` (canonical
-    (n-1)-codes) that passes ``primitive_unit_det_charpoly``."""
+    (n-1)-codes) that is primitive with |det| = 1.
+
+    Each parent B is factored once: the |det| of every tail is a table
+    lookup, so the canonicity test, the structure test and the bordered char
+    poly run only on tails with |det| = 1, in ``product`` order.
+    """
+    m = n - 1
+    images = _symmetries(n)[0]
+    vectors, pairs = _tails(m, max_entry + 1)
     out = []
-    for code in _canonical_extensions(parents, n, max_entry + 1):
-        chi = primitive_unit_det_charpoly(code_rows(code, n))
-        if chi is not None:
-            out.append((code, chi))
+    for parent in parents:
+        b = code_rows(parent, m) if m else []  # _symmetries(0) has no getter
+        p = charpoly(b)
+        terms = _adjugate_terms(b, p)
+        u = [[_row_times(r, term) for term in terms] for r in vectors]
+        # det A = (-1)^n (-d p_0 - r N_0 c), so the tails of a given r N_0 c
+        # have |det| = 1 exactly for the d with d p_0 + r N_0 c = +-1
+        by_value: dict[int, list[int]] = {}
+        for i, (_, ri, ci) in enumerate(pairs):
+            by_value.setdefault(sum(map(mul, u[ri][0], vectors[ci])), []).append(i)
+        for d in range(max_entry + 1):
+            ones = by_value.get(1 - d * p[0], []) + by_value.get(-1 - d * p[0], [])
+            for i in sorted(ones):
+                rc, ri, ci = pairs[i]
+                code = parent + (d, *rc)
+                if any(image(code) > code for image in images):
+                    continue
+                c = vectors[ci]
+                rows = [(*row, x) for row, x in zip(b, c)] + [(*vectors[ri], d)]
+                if digraph_structure(rows) == (True, 1):
+                    out.append((code, _bordered_charpoly(p, u[ri], c, d)))
     return out
 
 
@@ -213,6 +279,8 @@ def _survivors(cfg: SearchConfig, threads: int) -> list[tuple[tuple[int, ...], t
         (cfg.n, cfg.max_entry, parents[start : start + step])
         for start in range(0, len(parents), step)
     ]
+    from multiprocessing import Pool  # loaded only when a pool runs
+
     with Pool(threads) as pool:
         parts = pool.starmap(scan_orbits, chunks)
     return [survivor for part in parts for survivor in part]

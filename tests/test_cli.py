@@ -2,6 +2,7 @@
 
 import decimal
 import json
+import multiprocessing
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,6 @@ import stretchlab.cli
 import stretchlab.families
 import stretchlab.matrices
 import stretchlab.roots
-import stretchlab.search
 import stretchlab.sharpness
 from stretchlab.cli import _json_chunks, main
 from stretchlab.curvegraph import GrowthRateError
@@ -431,7 +431,7 @@ def test_threads_out_of_range_exits_2_before_any_pool(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool started for an out-of-range --threads")
 
-    monkeypatch.setattr(stretchlab.search, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     for threads in (0, os.cpu_count() + 1):
         for argv in (["search", "--n", "3", "--max-entry", "1"], ["repro", "thm-main"]):
             assert main([*argv, "--threads", str(threads)]) == 2

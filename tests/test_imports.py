@@ -45,6 +45,9 @@ NEVER = ("numpy", "dataclasses", "inspect")
 #: Loaded by no command but `search` and `repro`: the orbit search lives there.
 NO_SEARCH = NEVER + ("stretchlab.search",)
 
+#: Loaded by no command at the default `--threads 1`: a pool needs 2 or more.
+NO_POOL = NEVER + ("multiprocessing",)
+
 #: Loaded by none of `import stretchlab.cli` and a `classify` query.
 HEAVY = NEVER + (
     "multiprocessing",
@@ -103,7 +106,7 @@ def loaded_after(argv) -> set[str]:
         (["traintrack", "--file", "{track}"], NO_SEARCH),
         (["family", "--n", "6"], NO_SEARCH),
         (["sharpness", "--k", "3"], NO_SEARCH),
-        (["search", "--n", "3", "--max-entry", "1"], NEVER),
+        (["search", "--n", "3", "--max-entry", "1"], NO_POOL),
         (["repro", "set-theorem"], NEVER),
     ],
     ids=[

