@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, the orbit search, the cyclotomic stripping and
-the root isolation beside the test suite's references.
+"""Time the hot kernels, the orbit search, the cyclotomic polynomials, the
+cyclotomic stripping and the root isolation beside the test suite's
+references.
 
 The search rows time ``run_search`` (one matrix per orbit of
 S_n x <transpose>) and the brute-force reference, which walks and filters
@@ -8,7 +9,10 @@ every matrix of the slice.  The scan rows time the last level of the orbit
 search, ``scan_orbits`` (each parent factored once, so |det| and the char
 poly of every extension come from bordering), and the reference scan, which
 tests canonicity on every extension and filters each canonical one with a
-Bareiss determinant and a full char poly.  The stripping row times ``strip_cyclotomic``
+Bareiss determinant and a full char poly.  The cyclotomic row builds every
+Phi_m with phi(m) <= 60 from a cold cache, by ``cyclotomic`` (t^m - 1 over
+the Phi_d of the proper divisors) and by the Moebius product of the
+reference.  The stripping row times ``strip_cyclotomic``
 (which divides only where Phi_m(2) divides the value at 2) and plain trial
 division on the parity survivors of the five families at n = 16.  The
 root-isolation rows time ``largest_real_root`` (one remainder sequence per
@@ -47,6 +51,7 @@ from stretchlab.classify import parity_condition, strip_cyclotomic
 from stretchlab.curvegraph import cycle_classes, verify_clique_identity
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
 from stretchlab.matrices import IntMatrix
+from stretchlab.poly import cyclotomic, cyclotomic_indices_up_to_degree
 from stretchlab.roots import largest_real_root, sturm_chain
 from stretchlab.search import SearchConfig, canonical_codes, run_search, scan_orbits
 from stretchlab.sharpness import build_matrix, expected_char_poly
@@ -55,7 +60,7 @@ from stretchlab.traintrack import track_to_json
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import poly_reference  # noqa: E402
 from conftest import bigon_track  # noqa: E402
-from cyclotomic_reference import strip_by_trial_division  # noqa: E402
+from cyclotomic_reference import moebius_cyclotomic, strip_by_trial_division  # noqa: E402
 from search_reference import brute_force_search, reference_scan_orbits  # noqa: E402
 
 
@@ -178,6 +183,15 @@ def main():
         assert scanned == reference, f"scan_orbits differs from the reference at n={n}"
         name = f"n={n} entries<={max_entry} x{len(parents)} parents"
         print(f"{name:<38} {t_scan:>9.3f}s {t_ref:>9.3f}s {t_ref / t_scan:>8.1f}x")
+
+    indices = cyclotomic_indices_up_to_degree(60)
+    cyclotomic.cache_clear()
+    t_divisors, built = timed(lambda: [cyclotomic(m) for m in indices])
+    t_moebius, reference = timed(lambda: [moebius_cyclotomic(m) for m in indices])
+    assert built == reference, "cyclotomic differs from the Moebius product"
+    print(f"\n{'cyclotomic':<38} {'divisors':>10} {'moebius':>10} {'ratio':>9}")
+    name = f"cold cache phi(m)<=60 x{len(indices)}"
+    print(f"{name:<38} {t_divisors:>9.3f}s {t_moebius:>9.3f}s {t_moebius / t_divisors:>8.1f}x")
 
     candidates = {
         instantiate(form, 16) for tag in ALL_FORMS for form in _form_instances(tag, 16)

@@ -70,16 +70,20 @@ def _tolerance(value: str) -> Fraction:
     return tol
 
 
-def _parse_range(value: str) -> list[int]:
-    """'2..40' or a single integer or comma list; never empty."""
+def _parse_range(value: str, flag: str, lo: int, hi: int) -> list[int]:
+    """'2..40' or a single integer or comma list; never empty, each item in lo..hi.
+
+    The endpoints are checked before the range is built, so a few digits
+    cannot ask for a list of 10^8 ints.
+    """
+    ranged = ".." in value
     try:
-        if ".." in value:
-            lo, hi = (int(v) for v in value.split("..", 1))
-            items = list(range(lo, hi + 1))
-        else:
-            items = [int(v) for v in value.split(",")]
+        ends = [int(v) for v in (value.split("..", 1) if ranged else value.split(","))]
     except ValueError as exc:
         raise InputError(f"bad range {value!r}: {exc}") from exc
+    if not all(lo <= v <= hi for v in ends):
+        raise InputError(f"{flag} must lie in {lo}..{hi}, got {value!r}")
+    items = list(range(ends[0], ends[1] + 1)) if ranged else ends
     if not items:
         raise InputError(f"empty range {value!r}: its upper end is below its lower end")
     return items
@@ -320,13 +324,15 @@ def _cmd_curve_graph(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    from .families import ALL_FORMS, enumerate_admissible, monotonicity_scan
+    from .families import ALL_FORMS, SCAN_DEGREE_CAP, enumerate_admissible, monotonicity_scan
     from .roots import compare_power_to_silver_squared, silver_ratio_squared
 
     if args.d is not None and not args.scan:
         raise InputError("--d applies only with --scan")
     if args.scan:
-        ds = _parse_range(args.d) if args.d else None
+        # d < n/2 for every n a scan accepts; the scan itself rejects a bad n
+        d_max = max(min(args.n, SCAN_DEGREE_CAP) // 2 - 1, 0)
+        ds = _parse_range(args.d, "--d", 0, d_max) if args.d else None
         result = monotonicity_scan(args.scan, args.n, ds, args.tol)
         payload = {
             "branch": result.branch,
@@ -380,11 +386,11 @@ def _cmd_sharpness(args) -> int:
     from .matrices import matrix_to_json
     from .poly import poly_to_json
     from .roots import silver_ratio_squared
-    from .sharpness import build_example
+    from .sharpness import SHARPNESS_CAP, build_example
 
     tol = args.tol
     if args.table is not None:
-        ks = _parse_range(args.table)
+        ks = _parse_range(args.table, "--table", 2, SHARPNESS_CAP)
         rows = []
         for k in ks:
             ex = build_example(k, tol)
@@ -444,10 +450,6 @@ def _cmd_search(args) -> int:
     from .search import SearchConfig, run_search
 
     _check_threads(args.threads)
-    if args.n < 1:
-        raise InputError(f"--n must be at least 1, got {args.n}")
-    if args.max_entry < 0:
-        raise InputError(f"--max-entry must be at least 0, got {args.max_entry}")
     cfg = SearchConfig(n=args.n, max_entry=args.max_entry, tol=args.tol)
     result = run_search(cfg, threads=args.threads)
     payload = {

@@ -43,6 +43,8 @@ from .roots import (
 A_ONE_SIZES = {"2A1": 2, "3A1": 3, "4A1": 4, "5A1": 5}
 ALL_FORMS = ("2A1", "3A1", "4A1", "5A1", "AStar2")
 DEGREE_CAP = 16
+#: Largest n of a monotonicity scan; the 5A1 grid there has 528 points.
+SCAN_DEGREE_CAP = 64
 
 class FamilyForm(Immutable):
     """One parameter choice for one of the five shapes.
@@ -222,6 +224,8 @@ def monotonicity_scan(
     """
     if n % 2 or n < 4:
         raise InputError("scans need even n >= 4")
+    if n > SCAN_DEGREE_CAP:
+        raise InputError(f"degree {n} exceeds the scan cap {SCAN_DEGREE_CAP}")
     g = n // 2
     if d_values is None:
         d_values = range(0, g)

@@ -4,9 +4,9 @@ A polynomial is a dense tuple of arbitrary-precision integer coefficients,
 constant term first, trailing zeros trimmed.  All arithmetic is exact:
 addition, multiplication, division over the rationals (returned with an
 integer denominator so no information is lost), gcd via the primitive
-polynomial remainder sequence, square-free decomposition, and cyclotomic
-polynomials by Moebius product.  Nothing in this module touches floating
-point.
+polynomial remainder sequence, and cyclotomic polynomials by dividing
+t^m - 1 by the Phi_d of the proper divisors d of m.  Nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -204,17 +204,13 @@ class IntPolynomial(Immutable):
         return " ".join(parts)
 
 
-def zero() -> IntPolynomial:
-    return IntPolynomial()
-
-
 def one() -> IntPolynomial:
     return IntPolynomial((1,))
 
 
-def monomial(k: int, c: int = 1) -> IntPolynomial:
-    """c * t^k."""
-    return IntPolynomial((0,) * k + (c,))
+def monomial(k: int) -> IntPolynomial:
+    """t^k."""
+    return IntPolynomial((0,) * k + (1,))
 
 
 class DivisionResult(NamedTuple):
@@ -350,77 +346,25 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return a if a.lead > 0 else -a
 
 
-def square_free_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition [(p1, 1), (p2, 2), ...] with p = content * prod pi^i."""
-    if p.is_zero():
-        raise ValueError("square-free decomposition of the zero polynomial")
-    work = p.primitive_part()
-    if work.lead < 0:
-        work = -work
-    if work.degree() == 0:
-        return []
-    out: list[tuple[IntPolynomial, int]] = []
-    g = poly_gcd(work, work.derivative())
-    c = exact_div(work, g)
-    d = exact_div(work.derivative(), g) - c.derivative()
-    i = 1
-    while not (c.degree() == 0):
-        step = poly_gcd(c, d)
-        if step.degree() > 0:
-            out.append((step, i))
-        c2 = exact_div(c, step)
-        d = exact_div(d, step) - c2.derivative()
-        c = c2
-        i += 1
-    return out
-
-
 # -- cyclotomic polynomials ------------------------------------------
-
-
-def _factorize(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def _moebius(m: int) -> int:
-    mu = 1
-    for _, e in _factorize(m).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
 
 
 @functools.cache
 def cyclotomic(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, by the Moebius product over t^d - 1.
+    """The m-th cyclotomic polynomial, (t^m - 1) / prod of Phi_d over d | m, d < m.
+
+    Each Phi_d comes from this function's own cache.
 
     >>> str(cyclotomic(6))
     't^2 - t + 1'
     """
     if m < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    numerator = one()
-    denominator = one()
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        mu = _moebius(m // d)
-        if mu == 1:
-            numerator = numerator * (monomial(d) - one())
-        elif mu == -1:
-            denominator = denominator * (monomial(d) - one())
-    # Single division: partial quotients need not be polynomials.
-    return exact_div(numerator, denominator)
+    divisors = one()
+    for d in range(1, m // 2 + 1):
+        if m % d == 0:
+            divisors = divisors * cyclotomic(d)
+    return exact_div(monomial(m) - one(), divisors)
 
 
 @functools.cache

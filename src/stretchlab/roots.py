@@ -18,14 +18,7 @@ from fractions import Fraction
 
 from ._immutable import Immutable, set_field
 from .errors import CheckFailed
-from .poly import (
-    IntPolynomial,
-    exact_div,
-    one,
-    poly_gcd,
-    remainder_sequence,
-    square_free_decomposition,
-)
+from .poly import IntPolynomial, exact_div, one, poly_gcd, remainder_sequence
 
 #: Default enclosure width, a dyadic stand-in for 1e-12.
 DEFAULT_TOL = Fraction(1, 2**40)
@@ -433,15 +426,22 @@ def _distinct_unit_roots_squarefree(q: IntPolynomial) -> int:
 def unit_circle_root_count(p: IntPolynomial) -> int:
     """Roots of p with |z| = 1, counted with multiplicity, exactly.
 
-    Each square-free factor is reduced to its palindromic core
-    gcd(q, reverse q), whose Chebyshev fold is Sturm-counted on (-2, 2);
-    this applies to every integer polynomial with p(0) != 0.
+    The walk g_0 = p, g_(i+1) = gcd(g_i, g_i') ends at a constant.  A root
+    of multiplicity k divides exactly g_0 ... g_(k-1), so it is a simple
+    root of exactly k of the square-free quotients g_i / g_(i+1), and the
+    sum of their distinct unit-circle roots counts it k times.  Each
+    quotient is reduced to its palindromic core gcd(q, reverse q), whose
+    Chebyshev fold is Sturm-counted on (-2, 2); this applies to every
+    integer polynomial with p(0) != 0.
     """
     if p.is_zero():
         raise ValueError("unit-circle count of the zero polynomial")
     if p.constant_term() == 0:
         raise ValueError("unit-circle count requires a nonzero constant term")
-    return sum(
-        mult * _distinct_unit_roots_squarefree(factor)
-        for factor, mult in square_free_decomposition(p)
-    )
+    count = 0
+    g = p
+    while g.degree() > 0:
+        nxt = poly_gcd(g, g.derivative())
+        count += _distinct_unit_roots_squarefree(exact_div(g, nxt))
+        g = nxt
+    return count

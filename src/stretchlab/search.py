@@ -288,6 +288,10 @@ def _survivors(cfg: SearchConfig, threads: int) -> list[tuple[tuple[int, ...], t
 
 def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
     """Exhaustive search of all (max_entry+1)^(n^2) matrices, one per orbit."""
+    if cfg.n < 1:
+        raise InputError(f"--n must be at least 1, got {cfg.n}")
+    if cfg.max_entry < 0:
+        raise InputError(f"--max-entry must be at least 0, got {cfg.max_entry}")
     total = cfg.space_size
     if total > _budget():
         raise BudgetExceededError(

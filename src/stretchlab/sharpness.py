@@ -31,6 +31,11 @@ from .roots import (
 )
 
 
+#: Largest k built: the 2k x 2k matrix has 4k^2 entries, and k = 1000
+#: already takes about 6 s and writes a 44 MB report.
+SHARPNESS_CAP = 1000
+
+
 class SharpnessInvariantError(CheckFailed):
     """A constructed example failed one of its certified invariants."""
 
@@ -39,6 +44,8 @@ def silver_parameters(k: int) -> tuple[int, int]:
     """(p_k, q_k): the twist offset and its inverse mod 2k."""
     if k < 2:
         raise InputError("the family starts at k = 2")
+    if k > SHARPNESS_CAP:
+        raise InputError(f"k = {k} exceeds the sharpness cap {SHARPNESS_CAP}")
     p = k + 1 if k % 2 == 0 else k + 2
     q = pow(p, -1, 2 * k)
     return p, q
@@ -109,6 +116,5 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
 
 def convergence_table(k_max: int, tol: Fraction = DEFAULT_TOL) -> list[SharpnessExample]:
     """The examples k = 2..k_max, each built and certified by ``build_example``."""
-    if k_max < 2:
-        raise ValueError("the family starts at k = 2")
+    silver_parameters(k_max)  # k_max outside 2..SHARPNESS_CAP fails before any build
     return [build_example(k, tol) for k in range(2, k_max + 1)]

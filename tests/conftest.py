@@ -136,3 +136,21 @@ def random_structured_reciprocal(rng: random.Random, max_degree: int = 10) -> In
     if out.degree() == 0:
         out = out * cyclotomic(4)
     return out
+
+
+def random_repeated_product(rng: random.Random, max_degree: int = 12) -> IntPolynomial:
+    """A product of powers f^k (k <= 3) of distinct factors from the same pool.
+
+    Its repeated roots sit exactly on or safely off the unit circle, so a
+    numeric modulus test with a tolerance well above the perturbation of a
+    triple root still classifies every root correctly.
+    """
+    out = IntPolynomial((rng.choice((1, -1, 2, -3)),))
+    for factor in rng.sample(_RECIPROCAL_FACTOR_POOL, rng.randint(1, 3)):
+        k = rng.randint(1, 3)
+        while k and out.degree() + k * factor.degree() > max_degree:
+            k -= 1
+        out = out * factor**k
+    if out.degree() == 0:
+        out = out * cyclotomic(4) ** 2
+    return out

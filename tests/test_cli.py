@@ -4,6 +4,9 @@ import decimal
 import json
 import multiprocessing
 import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +307,37 @@ def test_empty_or_malformed_range_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(("error: empty range", "error: bad range"))
+
+
+def _limit_address_space():
+    # 1 GiB: a check placed after the allocation fails with MemoryError
+    # (exit 4) instead of exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sharpness", "--k", "20000"], "k = 20000 exceeds the sharpness cap 1000"),
+        (["sharpness", "--table", "2..100000000"], "--table must lie in 2..1000"),
+        (["family", "--scan", "3A1", "--n", "12", "--d", "0..100000000"], "--d must lie in 0..5"),
+        (["family", "--scan", "3A1", "--n", "100000000", "--d", "0..99999999"], "--d must lie in 0..31"),
+        (["family", "--scan", "5A1", "--n", "100000"], "degree 100000 exceeds the scan cap 64"),
+    ],
+    ids=["sharpness-k", "sharpness-table", "scan-d", "scan-n-and-d", "scan-n"],
+)
+def test_oversized_request_exits_2_before_allocating(argv, message):
+    src = str(Path(stretchlab.cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "stretchlab.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("tol", ["1/0", "2/0", "abc"])

@@ -9,6 +9,7 @@ from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic, parity_cond
 from stretchlab.cli import main
 from stretchlab.families import (
     ALL_FORMS,
+    SCAN_DEGREE_CAP,
     FamilyForm,
     _form_instances,
     admissibility_report,
@@ -279,6 +280,8 @@ def test_scan_errors():
         monotonicity_scan("3A1", 11)
     with pytest.raises(ValueError):
         monotonicity_scan("3A1", 12, [6])
+    with pytest.raises(ValueError, match="exceeds the scan cap"):
+        monotonicity_scan("5A1", SCAN_DEGREE_CAP + 2)
     # family tags without a symmetric scan are rejected as branches, too
     for branch in ("XX", "2A1", "AStar2"):
         with pytest.raises(ValueError, match="unknown scan branch"):

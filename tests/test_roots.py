@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_structured_reciprocal
+from conftest import random_repeated_product, random_structured_reciprocal
 from poly_reference import square_free_part
 from stretchlab.poly import IntPolynomial, cyclotomic
 from stretchlab.roots import (
@@ -202,10 +202,56 @@ def test_unit_circle_errors():
         unit_circle_root_count(P(()))
 
 
-def numeric_unit_circle_count(p: IntPolynomial) -> int:
-    """Float oracle: roots from np.roots within 1e-9 of modulus one."""
+# (factor, its roots on the unit circle): a root of f^k counts k times
+UNIT_COUNT_FACTORS = (
+    (cyclotomic(1), 1),
+    (cyclotomic(2), 1),
+    (cyclotomic(3), 2),
+    (cyclotomic(5), 4),
+    (cyclotomic(12), 4),
+    (LEHMER, 8),
+    (LT, 2),  # the Salem quartic of repro set-theorem
+    (P((1, -3, 1)), 0),
+)
+
+
+@pytest.mark.parametrize(
+    "powers, content, expected",
+    [
+        ({0: 4, 1: 3}, 1, 7),
+        ({2: 2, 7: 3}, -1, 4),
+        ({5: 2, 7: 3}, 6, 16),
+        ({6: 4}, -2, 8),
+        ({3: 3, 4: 2, 6: 1}, -3, 22),
+        ({0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 6: 1, 7: 1}, 1, 14),
+    ],
+    ids=["pm1", "neg-lead", "content", "salem-fourth", "mixed", "square-free"],
+)
+def test_unit_circle_count_with_multiplicities(powers, content, expected):
+    p = P((content,))
+    for i, k in powers.items():
+        p = p * UNIT_COUNT_FACTORS[i][0] ** k
+    assert unit_circle_root_count(p) == expected
+
+
+def test_unit_circle_count_on_random_powers_of_known_factors():
+    rng = random.Random(41)
+    for _ in range(40):
+        p = P((rng.choice((1, -1, 2, -6)),))
+        expected = 0
+        for factor, roots in rng.sample(UNIT_COUNT_FACTORS, rng.randint(1, 3)):
+            k = rng.randint(1, 4)
+            while k > 1 and p.degree() + k * factor.degree() > 24:
+                k -= 1
+            p = p * factor**k
+            expected += k * roots
+        assert unit_circle_root_count(p) == expected, p
+
+
+def numeric_unit_circle_count(p: IntPolynomial, tol: float = 1e-9) -> int:
+    """Float oracle: roots from np.roots within ``tol`` of modulus one."""
     roots = np.roots([float(c) for c in reversed(p.coeffs)])
-    return sum(1 for z in roots if abs(abs(z) - 1.0) <= 1e-9)
+    return sum(1 for z in roots if abs(abs(z) - 1.0) <= tol)
 
 
 def test_unit_circle_exact_agrees_with_numeric():
@@ -213,6 +259,15 @@ def test_unit_circle_exact_agrees_with_numeric():
     for _ in range(200):
         p = random_structured_reciprocal(rng)
         assert unit_circle_root_count(p) == numeric_unit_circle_count(p), p
+
+
+def test_unit_circle_exact_agrees_with_numeric_on_repeated_factors():
+    # np.roots moves a root of multiplicity k by about eps^(1/k), so the
+    # tolerance is loose; every pool root off the circle has |log|z|| > 0.6
+    rng = random.Random(98)
+    for _ in range(150):
+        p = random_repeated_product(rng)
+        assert unit_circle_root_count(p) == numeric_unit_circle_count(p, 1e-3), p
 
 
 def test_compare_enclosures_ordering_and_equality():

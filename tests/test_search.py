@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from search_reference import brute_force_search, reference_scan_orbits
 
 from stretchlab import _kernels, search
+from stretchlab.errors import InputError
 from stretchlab.families import enumerate_admissible
 from stretchlab.matrices import IntMatrix
 from stretchlab.poly import IntPolynomial
@@ -157,6 +158,22 @@ def test_orbit_counts():
 def test_search_budget_guard():
     with pytest.raises(BudgetExceededError):
         run_search(SearchConfig(n=5, max_entry=2))
+
+
+@pytest.mark.parametrize(
+    "n, max_entry, message",
+    [
+        (0, 1, "--n must be at least 1, got 0"),
+        (-1, 1, "--n must be at least 1, got -1"),
+        (2, -1, "--max-entry must be at least 0, got -1"),
+    ],
+    ids=["n=0", "n=-1", "max_entry=-1"],
+)
+def test_search_rejects_a_dimension_below_1_or_a_negative_entry_bound(n, max_entry, message):
+    # max_entry = -1 would scan an empty space and certify nothing
+    with pytest.raises(InputError) as err:
+        run_search(SearchConfig(n=n, max_entry=max_entry))
+    assert str(err.value) == message
 
 
 def test_witness_remark_matrix():

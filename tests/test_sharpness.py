@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
+from stretchlab.errors import InputError
 from stretchlab.families import FamilyForm, instantiate
 from stretchlab.matrices import char_poly, determinant, is_primitive
 from stretchlab.poly import IntPolynomial
@@ -14,6 +15,7 @@ from stretchlab.sharpness import (
     build_example,
     build_matrix,
     convergence_table,
+    SHARPNESS_CAP,
     expected_char_poly,
     silver_parameters,
 )
@@ -131,3 +133,11 @@ def test_k_below_two_rejected():
         build_example(1)
     with pytest.raises(ValueError):
         convergence_table(1)
+
+
+def test_k_above_the_cap_rejected_before_any_matrix():
+    assert silver_parameters(SHARPNESS_CAP)[0] == SHARPNESS_CAP + 1
+    with pytest.raises(InputError, match="exceeds the sharpness cap"):
+        build_matrix(SHARPNESS_CAP + 1)
+    with pytest.raises(InputError, match="exceeds the sharpness cap"):
+        convergence_table(10**8)
