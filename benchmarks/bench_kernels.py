@@ -20,7 +20,11 @@ polynomial, lazy pseudo-division, sparse Horner) and the two-pass eager
 reference on the sharpness char polys and the admissible n = 16 family
 polynomials.  The JSON row times the CLI's streaming writer and
 ``json.JSONEncoder(indent=2, sort_keys=True)`` on the ``sharpness --k``
-reports.  Each row's results are asserted equal.
+reports.  The train-track rows time ``track_report`` on the infinitesimal
+n-gon with a real loop per vertex, n = 10, 20, 30: integer elimination for
+the weight space, the Gram matrix B F B^T and its kernel.  Their weight-space
+and radical dimensions are asserted against sympy ranks, with the skew form
+summed from its definition.  Each row's results are asserted equal.
 
 The start-up rows time fresh interpreters: a bare ``python -c pass``,
 ``import stretchlab.cli``, one small ``classify``, ``matrix``,
@@ -43,7 +47,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import combinations
 from pathlib import Path
+
+import sympy
 
 import stretchlab
 from stretchlab import _kernels, cli
@@ -55,11 +62,11 @@ from stretchlab.poly import cyclotomic, cyclotomic_indices_up_to_degree
 from stretchlab.roots import largest_real_root, sturm_chain
 from stretchlab.search import SearchConfig, canonical_codes, run_search, scan_orbits
 from stretchlab.sharpness import build_matrix, expected_char_poly
-from stretchlab.traintrack import track_to_json
+from stretchlab.traintrack import switch_matrix, track_report, track_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import poly_reference  # noqa: E402
-from conftest import bigon_track  # noqa: E402
+from conftest import bigon_track, polygon_track  # noqa: E402
 from cyclotomic_reference import moebius_cyclotomic, strip_by_trial_division  # noqa: E402
 from search_reference import brute_force_search, reference_scan_orbits  # noqa: E402
 
@@ -68,6 +75,23 @@ def timed(fn):
     start = time.perf_counter()
     out = fn()
     return time.perf_counter() - start, out
+
+
+def sympy_track_dims(track) -> tuple[int, int]:
+    """(weight-space dim, radical dim) from sympy ranks; omega from its definition."""
+    basis = sympy.Matrix(switch_matrix(track)).nullspace()
+    edge_of = {h: i for i, e in enumerate(track.edges) for h in e.ends}
+    # every same-side pair, left half-edge first
+    pairs = [
+        (edge_of[a], edge_of[b])
+        for v in track.vertices
+        for side in v
+        for a, b in combinations(side, 2)
+    ]
+    gram = sympy.Matrix(
+        [[sum(u[i] * v[j] - u[j] * v[i] for i, j in pairs) for v in basis] for u in basis]
+    )
+    return len(basis), len(basis) - gram.rank()
 
 
 def startup_rows(runs: int) -> None:
@@ -220,6 +244,15 @@ def main():
         t_ref, reference = timed(lambda: [poly_reference.largest_real_root(p) for p in polys])
         assert [(e.lo, e.hi, e.polynomial) for e in lib] == reference, name
         print(f"{name:<38} {t_lib:>9.3f}s {t_ref:>9.3f}s {t_ref / t_lib:>8.1f}x")
+
+    print(f"\n{'track_report':<38} {'time':>10} {'weights':>8} {'radical':>8}")
+    for n in (10, 20) if args.quick else (10, 20, 30):
+        track = polygon_track(n)
+        t_report, report = timed(lambda: track_report(track))
+        dims = (report["weight_space_dim"], report["radical_dim"])
+        assert dims == sympy_track_dims(track), f"track_report differs from sympy at n={n}"
+        name = f"polygon n={n} ({track.n_edges} edges)"
+        print(f"{name:<38} {t_report:>9.3f}s {dims[0]:>8} {dims[1]:>8}")
     return 0
 
 

@@ -13,10 +13,10 @@ Core surface:
   form on their weight space
 - :mod:`stretchlab.search`     exhaustive matrix searches against the bound
 
-The matrix kernels that ``matrices`` and the search filter share (char
-poly, determinant, digraph structure) live in the pure-Python module
-``_kernels``; the orbit scan lives in ``search``, and cycle and clique
-enumeration in ``curvegraph``.
+The matrix kernels that ``matrices``, ``traintrack`` and the search filter
+share (char poly, fraction-free echelon form and determinant, digraph
+structure) live in the pure-Python module ``_kernels``; the orbit scan
+lives in ``search``, and cycle and clique enumeration in ``curvegraph``.
 
 The names below resolve on first use (PEP 562), so ``import stretchlab``
 and each CLI command load only the modules they need.  The ``classify``

@@ -1,10 +1,12 @@
-"""Shared matrix kernels: characteristic polynomial, determinant and digraph
-structure.
+"""Shared matrix kernels: characteristic polynomial, fraction-free echelon
+form and digraph structure.
 
-``matrices`` calls all three.  The exhaustive search calls ``charpoly`` once
-per parent matrix and ``digraph_structure`` on the extensions that pass
-``|det| = 1`` and canonicity; it never calls ``determinant``.  All functions take plain nested sequences of Python ints
-and return plain ints and tuples.  Everything is exact.
+``matrices`` takes its char poly, determinant and primitivity from here, and
+``traintrack`` its weight spaces, Gram kernels and ranks from ``echelon``.
+The exhaustive search calls ``charpoly`` once per parent matrix and
+``digraph_structure`` on the extensions that pass ``|det| = 1`` and
+canonicity.  All functions take plain nested sequences of Python ints and
+return plain ints, lists and tuples.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import compress
 BACKEND = "pure"
 
 #: The public kernels; the benchmark's per-layer tracer wraps the names listed here.
-__all__ = ["BACKEND", "charpoly", "determinant", "digraph_structure"]
+__all__ = ["BACKEND", "charpoly", "determinant", "digraph_structure", "echelon"]
 
 
 # -- characteristic polynomial ----------------------------------------
@@ -98,29 +100,42 @@ def charpoly(rows) -> tuple[int, ...]:
     return _charpoly_berkowitz(rows, n)
 
 
-def determinant(rows) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def echelon(rows) -> tuple[list[list[int]], list[int], int]:
+    """(rows, pivot columns, swap sign): fraction-free row echelon form (Bareiss).
+
+    Any rectangular integer matrix.  After k pivots, entry (i, j) below them
+    is the (k+1)-minor of the row-permuted input on the pivot rows and row i,
+    the pivot columns and column j (Sylvester), so each step divides exactly
+    by the previous pivot.  The rows past the rank are zero.
+    """
     m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), -1)
-            if pivot < 0:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][c]), -1)
+        if p < 0:
+            continue
+        if p != k:
+            m[k], m[p] = m[p], m[k]
             sign = -sign
-        pivot_val = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot_val - mik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot_val
-    return sign * m[n - 1][n - 1]
+        top = m[k]
+        pivot = top[c]
+        for row in m[k + 1 :]:
+            a = row[c]
+            for j in range(c, len(row)):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+        pivots.append(c)
+    return m, pivots, sign
+
+
+def determinant(rows) -> int:
+    """Exact determinant: the last ``echelon`` pivot times the swap sign."""
+    m, pivots, sign = echelon(rows)
+    if len(pivots) < len(m):
+        return 0
+    return sign * m[-1][-1] if m else 1
 
 
 # -- digraph structure -------------------------------------------------

@@ -21,6 +21,7 @@ import functools
 import math
 
 from ._immutable import Immutable, set_field
+from .errors import InputError
 from .poly import (
     IntPolynomial,
     cyclotomic,
@@ -64,6 +65,12 @@ def is_skew_reciprocal(p: IntPolynomial) -> int | None:
     return None
 
 
+#: Largest degree ``strip_cyclotomic`` accepts: its divisor list sieves phi up
+#: to 2 deg^2 and holds every Phi_m with phi(m) <= deg, so time grows about
+#: as deg^3 (degree 400 takes ~3 s).
+STRIP_DEGREE_CAP = 400
+
+
 @functools.cache
 def _cyclotomic_divisors(deg: int) -> tuple[tuple[IntPolynomial, int], ...]:
     """(Phi_m, Phi_m(2)) for every m with phi(m) <= deg."""
@@ -87,6 +94,8 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
         raise ValueError("cannot strip the zero polynomial")
     if p.constant_term() == 0:
         raise ValueError("strip_cyclotomic needs a nonzero constant term")
+    if p.degree() > STRIP_DEGREE_CAP:
+        raise InputError(f"degree {p.degree()} exceeds the cyclotomic strip cap {STRIP_DEGREE_CAP}")
     core = p
     cyclo = one()
     value = p.evaluate(2)

@@ -449,7 +449,6 @@ def _cmd_search(args) -> int:
     from .roots import silver_ratio_squared
     from .search import SearchConfig, run_search
 
-    _check_threads(args.threads)
     cfg = SearchConfig(n=args.n, max_entry=args.max_entry, tol=args.tol)
     result = run_search(cfg, threads=args.threads)
     payload = {

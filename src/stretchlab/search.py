@@ -288,6 +288,9 @@ def _survivors(cfg: SearchConfig, threads: int) -> list[tuple[tuple[int, ...], t
 
 def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
     """Exhaustive search of all (max_entry+1)^(n^2) matrices, one per orbit."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise InputError(f"--threads must be between 1 and {cpus} (the CPU count), got {threads}")
     if cfg.n < 1:
         raise InputError(f"--n must be at least 1, got {cfg.n}")
     if cfg.max_entry < 0:

@@ -4,7 +4,8 @@ A track is a set of vertices, each carrying two ordered sides of half-edges
 (order = left to right in the plane), and a set of edges pairing half-edges,
 each labeled real or infinitesimal.  That data suffices to compute switch
 conditions, the weight space, the skew form on it, and to trace boundary
-components with their cusps; no ambient surface is needed.
+components with their cusps; no ambient surface is needed.  The weight
+space, Gram matrix and radical are integer elimination by ``_kernels.echelon``.
 
 Standard embedding (one side of every vertex = exactly the two half-edges of
 the infinitesimal polygon through it, the other side all real) is checked by
@@ -17,9 +18,11 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from ._immutable import Immutable, set_field
+from ._kernels import echelon
 from .errors import InputError
 
 
@@ -40,9 +43,9 @@ class TrackEdge(NamedTuple):
 class TrainTrack(Immutable):
     """Vertices and edges of a validated track.
 
-    Its derived data (geometry, boundary, weight space, Gram form) is
-    computed once and cached in the instance ``__dict__``; the fields cannot
-    be reassigned, so the caches never go stale.
+    Its derived data (geometry, boundary, weight space, skew form, Gram
+    form) is computed once and cached in the instance ``__dict__``; the
+    fields cannot be reassigned, so the caches never go stale.
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable):
@@ -86,14 +89,27 @@ class TrainTrack(Immutable):
 
     @cached_property
     def _weight_space(self) -> WeightSpace:
-        if not self.vertices:
-            return WeightSpace(self, ())
-        return WeightSpace(self, tuple(_kernel_basis(switch_matrix(self))))
+        return WeightSpace(self, _kernel(switch_matrix(self), self.n_edges))
+
+    @cached_property
+    def _skew(self) -> list[list[int]]:
+        """The matrix F with omega(w, w2) = w F w2: each same-side pair h1
+        left of h2 adds +1 at (e1, e2) and -1 at (e2, e1)."""
+        f = [[0] * self.n_edges for _ in self.edges]
+        edge_of = self._geometry.edge_of
+        for v in self.vertices:
+            for side in v:
+                for h1, h2 in itertools.combinations(side, 2):
+                    e1, e2 = edge_of[h1], edge_of[h2]
+                    f[e1][e2] += 1
+                    f[e2][e1] -= 1
+        return f
 
     @cached_property
     def _gram(self) -> GramForm:
         basis = self._weight_space.basis
-        return GramForm(tuple(tuple(_omega(self, v, u) for u in basis) for v in basis))
+        images = [_apply(self._skew, u) for u in basis]
+        return GramForm(tuple(tuple(_dot(v, fu) for fu in images) for v in basis))
 
 
 def _validate(track: TrainTrack) -> None:
@@ -178,50 +194,38 @@ def switch_matrix(track: TrainTrack) -> list[list[int]]:
     return m
 
 
-def _rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [list(map(Fraction, row)) for row in matrix]
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def _dot(u: Sequence, v: Sequence):
+    return sum(map(mul, u, v))
 
 
-def _kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
-    if not matrix:
-        return []
-    rref, pivots = _rref(matrix)
-    n_cols = len(matrix[0])
-    free = [c for c in range(n_cols) if c not in pivots]
+def _apply(rows: Sequence[Sequence[int]], w: Sequence) -> list:
+    return [_dot(row, w) for row in rows]
+
+
+def _kernel(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int, ...], ...]:
+    """Integer basis of {v : rows v = 0}: per free column f of the echelon
+    form, v_f = d (the last pivot), 0 on the other free columns, and
+    back-substitution.  The pivot block P of the row-permuted input has
+    det P = d, so by Cramer's rule every pivot entry is an integer minor and
+    every division is exact."""
+    m, pivots, _ = echelon(rows)
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    for f in sorted(set(range(n_cols)).difference(pivots)):
+        v = [0] * n_cols
+        v[f] = d
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            v[c] = -_dot(m[k][c + 1 :], v[c + 1 :]) // m[k][c]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 class WeightSpace(NamedTuple):
-    """Exact rational basis of the solutions of all switch conditions."""
+    """Integer basis of the solutions of all switch conditions."""
 
     track: TrainTrack
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -230,23 +234,19 @@ class WeightSpace(NamedTuple):
     def combine(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(coeffs) != self.dim:
             raise ValueError("coefficient count must match the dimension")
+        cs = tuple(map(Fraction, coeffs))
         n = self.track.n_edges
-        out = [Fraction(0)] * n
-        for c, vec in zip(map(Fraction, coeffs), self.basis):
-            for i in range(n):
-                out[i] += c * vec[i]
-        return tuple(out)
+        return tuple(Fraction(_dot(cs, [v[i] for v in self.basis])) for i in range(n))
 
 
 def satisfies_switch_conditions(track: TrainTrack, w: Sequence) -> bool:
     if len(w) != track.n_edges:
         raise ValueError("weight vector length must match the edge count")
-    w = tuple(map(Fraction, w))
-    return all(sum(c * x for c, x in zip(row, w)) == 0 for row in switch_matrix(track))
+    return not any(_apply(switch_matrix(track), tuple(map(Fraction, w))))
 
 
 def weight_space(track: TrainTrack) -> WeightSpace:
-    """ker of the switch-condition map, as an exact rational basis."""
+    """ker of the switch-condition map, as an integer basis."""
     return track._weight_space
 
 
@@ -257,42 +257,29 @@ def thurston_form(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
     """sum over vertices and same-side pairs (e1 left of e2) of
     w_{e1} w2_{e2} - w_{e2} w2_{e1}; exact rational."""
     w, w2 = tuple(map(Fraction, w)), tuple(map(Fraction, w2))
-    if not satisfies_switch_conditions(track, w) or not satisfies_switch_conditions(
-        track, w2
-    ):
+    if not (satisfies_switch_conditions(track, w) and satisfies_switch_conditions(track, w2)):
         raise ValueError("both weight vectors must satisfy the switch conditions")
     return _omega(track, w, w2)
 
 
-def _omega(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
+def _omega(track: TrainTrack, w: Sequence, w2: Sequence):
     """``thurston_form`` without the switch-condition checks or conversions:
-    entries are ints or Fractions."""
-    edge_of = track._geometry.edge_of
-    total = Fraction(0)
-    for v in track.vertices:
-        for side in (v.side_a, v.side_b):
-            for h1, h2 in itertools.combinations(side, 2):
-                e1 = edge_of[h1]
-                e2 = edge_of[h2]
-                total += w[e1] * w2[e2] - w[e2] * w2[e1]
-    return total
+    w F w2, in the entries' own type (ints or Fractions)."""
+    return _dot(w, _apply(track._skew, w2))
 
 
 class GramForm(NamedTuple):
     """Matrix of the skew form in a weight-space basis."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
     def is_antisymmetric(self) -> bool:
-        return all(
-            self.matrix[i][j] == -self.matrix[j][i]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        m = self.matrix
+        return all(x == -y for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
 
 
 def gram_form(track: TrainTrack) -> GramForm:
@@ -362,44 +349,27 @@ def radical_element(track: TrainTrack, component: BoundaryComponent) -> tuple[in
     positions = list(component.cusp_positions)
     length = len(component.walk)
     for k, start in enumerate(positions, start=1):
-        end = positions[(k) % n]  # next cusp position, cyclically
-        i = start
-        sign = (-1) ** k
-        while True:
-            weights[edge_of[component.walk[i]]] += sign
-            i = (i + 1) % length
-            if i == end:
-                break
-    result = tuple(weights)
-    if not satisfies_switch_conditions(track, result):
+        end = positions[k % n]  # next cusp position, cyclically
+        for i in range(start, start + (end - start) % length):
+            weights[edge_of[component.walk[i % length]]] += (-1) ** k
+    if any(_apply(switch_matrix(track), weights)):
         raise InvalidTrackError("radical element violates a switch condition")
-    return result
+    return tuple(weights)
 
 
 def radical_elements(track: TrainTrack) -> list[tuple[int, ...]]:
     """r_c for every even-cusped boundary component (smooth ones skipped)."""
-    out = []
-    for comp in track._boundary:
-        if comp.cusps and comp.cusps % 2 == 0:
-            out.append(radical_element(track, comp))
-    return out
+    return [radical_element(track, c) for c in track._boundary if c.cusps and c.cusps % 2 == 0]
 
 
-def radical(track: TrainTrack) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """(dimension, basis in edge coordinates) of the kernel of the skew form."""
+def radical(track: TrainTrack) -> tuple[int, list[tuple[int, ...]]]:
+    """(dimension, integer basis in edge coordinates) of the kernel of the
+    skew form on the weight space."""
     ws = track._weight_space
-    if ws.dim == 0:
-        return 0, []
-    kernel_coords = _kernel_basis([list(row) for row in track._gram.matrix])
-    basis = [ws.combine(coords) for coords in kernel_coords]
+    columns = list(zip(*ws.basis))
+    coords = _kernel(track._gram.matrix, ws.dim)
+    basis = [tuple(_dot(c, col) for col in columns) for c in coords]
     return len(basis), basis
-
-
-def _rank(vectors: list[Sequence[Fraction]]) -> int:
-    if not vectors:
-        return 0
-    _, pivots = _rref(vectors)
-    return len(pivots)
 
 
 class RadicalReport(NamedTuple):
@@ -414,8 +384,10 @@ def radical_report(track: TrainTrack) -> RadicalReport:
     dim, _ = radical(track)
     elements = radical_elements(track)  # radical_element checks the switch conditions
     basis = track._weight_space.basis
-    in_rad = all(all(_omega(track, r, b) == 0 for b in basis) for r in elements)
-    span_rank = _rank(elements)
+    # omega(r, b) = -(F r).b, as F is antisymmetric
+    images = [_apply(track._skew, r) for r in elements]
+    in_rad = all(_dot(fr, b) == 0 for fr in images for b in basis)
+    span_rank = len(echelon(elements)[1])
     return RadicalReport(
         dimension=dim,
         element_count=len(elements),

@@ -28,16 +28,17 @@ def bigon_track() -> TrainTrack:
 def polygon_track(n: int) -> TrainTrack:
     """Infinitesimal n-gon with one real loop per vertex.
 
-    Inf edge j runs from vertex j (half 10+j) to vertex j+1 (half 20+j);
-    the inner polygon face then shows one cusp per vertex.
+    Inf edge j runs from vertex j (half 1000+j) to vertex j+1 (half 2000+j);
+    the inner polygon face then shows one cusp per vertex.  The four id
+    ranges stay disjoint up to n = 500.
     """
     vertices = []
     edges = []
     for j in range(n):
-        vertices.append(((10 + j, 20 + ((j - 1) % n)), (30 + 2 * j, 31 + 2 * j)))
-        edges.append(((10 + j, 20 + j), "inf"))
+        vertices.append(((1000 + j, 2000 + ((j - 1) % n)), (3000 + 2 * j, 3001 + 2 * j)))
+        edges.append(((1000 + j, 2000 + j), "inf"))
     for j in range(n):
-        edges.append(((30 + 2 * j, 31 + 2 * j), "real"))
+        edges.append(((3000 + 2 * j, 3001 + 2 * j), "real"))
     return TrainTrack(vertices, edges)
 
 
@@ -61,6 +62,7 @@ def all_track_fixtures() -> list[TrainTrack]:
         polygon_track(3),
         polygon_track(4),
         polygon_track(6),
+        polygon_track(12),
         chorded_square_track(),
     ]
 

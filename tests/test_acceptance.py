@@ -98,7 +98,7 @@ def test_criterion_2_family_minima():
 
 def test_criterion_3_matrix_search():
     started = time.perf_counter()
-    r4 = run_search(SearchConfig(n=4, max_entry=1), threads=8)
+    r4 = run_search(SearchConfig(n=4, max_entry=1), threads=2)
     assert r4.count_scanned == 65536
     assert r4.violations == ()
     assert abs(float(r4.minimum.normalized) - MU4) < 1e-9

@@ -20,6 +20,7 @@ import stretchlab.families
 import stretchlab.matrices
 import stretchlab.roots
 import stretchlab.sharpness
+from stretchlab.classify import STRIP_DEGREE_CAP
 from stretchlab.cli import _json_chunks, main
 from stretchlab.curvegraph import GrowthRateError
 from stretchlab.errors import CheckFailed
@@ -323,8 +324,12 @@ def _limit_address_space():
         (["family", "--scan", "3A1", "--n", "12", "--d", "0..100000000"], "--d must lie in 0..5"),
         (["family", "--scan", "3A1", "--n", "100000000", "--d", "0..99999999"], "--d must lie in 0..31"),
         (["family", "--scan", "5A1", "--n", "100000"], "degree 100000 exceeds the scan cap 64"),
+        (
+            ["classify", "--poly", json.dumps({"coeffs": ["1"] * (STRIP_DEGREE_CAP + 2)})],
+            f"degree {STRIP_DEGREE_CAP + 1} exceeds the cyclotomic strip cap {STRIP_DEGREE_CAP}",
+        ),
     ],
-    ids=["sharpness-k", "sharpness-table", "scan-d", "scan-n-and-d", "scan-n"],
+    ids=["sharpness-k", "sharpness-table", "scan-d", "scan-n-and-d", "scan-n", "classify-degree"],
 )
 def test_oversized_request_exits_2_before_allocating(argv, message):
     src = str(Path(stretchlab.cli.__file__).resolve().parent.parent)

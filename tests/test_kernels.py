@@ -1,10 +1,13 @@
-"""The kernels and what calls them: caps, the search filter, digraph structure
-and the characteristic polynomial."""
+"""The kernels and what calls them: caps, the search filter, digraph structure,
+the characteristic polynomial and the fraction-free echelon form."""
 
 import random
 from itertools import product
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from search_reference import primitive_unit_det_charpoly
 
 from stretchlab import _kernels
@@ -13,6 +16,7 @@ from stretchlab.curvegraph import _clique_coefficients, cycle_classes
 from stretchlab.errors import CapExceeded
 from stretchlab.matrices import IntMatrix, determinant, wielandt_positive
 from stretchlab.sharpness import build_matrix, expected_char_poly
+from stretchlab.traintrack import _kernel
 
 
 def test_caps_raise():
@@ -30,7 +34,13 @@ def test_star_import_exports_exactly_the_shared_kernels():
     namespace = {}
     exec("from stretchlab._kernels import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(_kernels.__all__) == ["BACKEND", "charpoly", "determinant", "digraph_structure"]
+    assert sorted(_kernels.__all__) == [
+        "BACKEND",
+        "charpoly",
+        "determinant",
+        "digraph_structure",
+        "echelon",
+    ]
     assert sorted(namespace) == sorted(_kernels.__all__)
 
 
@@ -138,3 +148,82 @@ def test_nonzero_only_hessenberg_recurrence_matches_berkowitz():
 def test_charpoly_of_the_sharpness_family():
     for k in range(2, 61):
         assert _kernels.charpoly(build_matrix(k).rows) == expected_char_poly(k).coeffs, k
+
+
+# -- the fraction-free echelon form against sympy ---------------------------
+
+
+@st.composite
+def integer_matrices(draw, square: bool = False):
+    """Small integer matrices, also empty ones, with zero rows and columns
+    and repeated rows mixed in: (rows, column count)."""
+    n_rows = draw(st.integers(0, 6))
+    n_cols = n_rows if square else draw(st.integers(0, 6))
+    entries = st.integers(-4, 4)
+    rows = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 2)) if n_rows else 0):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        how = draw(st.sampled_from(["repeat", "zero row", "zero column"]))
+        if how == "repeat":
+            rows[i] = list(rows[j])
+        elif how == "zero row":
+            rows[i] = [0] * n_cols
+        elif n_cols:
+            c = draw(st.integers(0, n_cols - 1))
+            for row in rows:
+                row[c] = 0
+    return rows, n_cols
+
+
+def _sympy(rows, n_cols):
+    return sympy.Matrix(len(rows), n_cols, [x for row in rows for x in row])
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example(([], 0))
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[1, 2, 3], [2, 4, 6], [1, 2, 3]], 3))
+def test_echelon_matches_sympy(matrix):
+    rows, n_cols = matrix
+    m, pivots, sign = _kernels.echelon(rows)
+    reference = _sympy(rows, n_cols)
+    assert len(pivots) == reference.rank()
+    assert tuple(pivots) == reference.rref()[1]
+    assert sign in (1, -1)
+    for k, row in enumerate(m):
+        lead = pivots[k] if k < len(pivots) else n_cols
+        assert not any(row[:lead]) and (k >= len(pivots) or row[lead])
+    # the row space is unchanged
+    assert _sympy(rows + m, n_cols).rank() == len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(square=True))
+@example(([], 0))
+@example(([[0, 0], [0, 0]], 2))
+@example(([[0, 1], [1, 0]], 2))
+@example(([[1, 2], [2, 4]], 2))
+def test_determinant_matches_sympy(matrix):
+    rows, n = matrix
+    assert _kernels.determinant(rows) == _sympy(rows, n).det()
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example(([], 0))
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0, 0, 0]], 3))
+@example(([[2, 4, 6], [1, 2, 3]], 3))
+def test_traintrack_kernel_is_an_integer_basis_of_the_sympy_nullspace(matrix):
+    rows, n_cols = matrix
+    reference = _sympy(rows, n_cols)
+    basis = _kernel(rows, n_cols)
+    assert len(basis) == n_cols - reference.rank() == len(reference.nullspace())
+    for v in basis:
+        assert len(v) == n_cols and all(type(x) is int for x in v)
+        assert reference * sympy.Matrix(v) == sympy.zeros(len(rows), 1)
+    assert _sympy(list(basis), n_cols).rank() == len(basis)

@@ -1,5 +1,7 @@
 """Exhaustive matrix searches and the single-matrix witness pipeline."""
 
+import multiprocessing
+import os
 import random
 from itertools import product
 
@@ -174,6 +176,20 @@ def test_search_rejects_a_dimension_below_1_or_a_negative_entry_bound(n, max_ent
     with pytest.raises(InputError) as err:
         run_search(SearchConfig(n=n, max_entry=max_entry))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1], ids=["zero", "cpus-plus-1"])
+def test_search_rejects_a_thread_count_outside_the_cpus_before_any_pool(threads, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    cpus = os.cpu_count() or 1
+    with pytest.raises(InputError) as err:
+        run_search(SearchConfig(n=3, max_entry=1), threads=threads)
+    assert str(err.value) == (
+        f"--threads must be between 1 and {cpus} (the CPU count), got {threads}"
+    )
 
 
 def test_witness_remark_matrix():
