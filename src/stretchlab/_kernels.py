@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-#: Read by the benchmark's start-up probe and printed by ``--version``;
-#: pure Python is the only backend.
+#: Read by the benchmark's start-up probe; pure Python is the only backend.
 BACKEND = "pure"
 
 #: The public kernels; the benchmark's per-layer tracer wraps the names listed here.

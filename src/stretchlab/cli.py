@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from . import SCOPE_NOTE, __version__
 from .errors import BudgetExceededError, CapExceeded, CheckFailed, InputError
-from .roots import DEFAULT_TOL, SeparationError
+from .roots import DEFAULT_TOL, MIN_TOL, SeparationError
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterator
@@ -60,13 +60,15 @@ def _parse_json_arg(value: str, from_json: Callable, what: str):
 
 
 def _tolerance(value: str) -> Fraction:
-    """``--tol``: a positive rational; 1/0 is a usage error like any other bad number."""
+    """``--tol``: a rational in [2^-256, oo); 1/0 is a usage error like any other bad number."""
     try:
         tol = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {value!r}") from exc
     if tol <= 0:
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value!r}")
+    if tol < MIN_TOL:
+        raise argparse.ArgumentTypeError(f"tolerance must be at least 2^-256, got {value!r}")
     return tol
 
 
@@ -267,7 +269,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    from .classify import classify
+    from .classify import STRIP_DEGREE_CAP, classify
     from .matrices import (
         PerronPreconditionError,
         char_poly,
@@ -279,6 +281,9 @@ def _cmd_matrix(args) -> int:
     from .poly import poly_to_json
 
     m = _parse_json_arg(args.matrix, matrix_from_json, "matrix")
+    if m.n > STRIP_DEGREE_CAP:
+        # the char poly's degree; checked before any O(n^3) work
+        raise InputError(f"n = {m.n} exceeds the cyclotomic strip cap {STRIP_DEGREE_CAP}")
     report = is_primitive(m)
     chi = char_poly(m)
     det = (-1) ** m.n * chi.constant_term()
@@ -487,28 +492,12 @@ def _cmd_repro(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-class _VersionAction(argparse.Action):
-    """``--version``: names the kernel backend, loaded only for this flag."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from ._kernels import BACKEND
-
-        print(f"{parser.prog} {__version__} ({BACKEND} kernels)")
-        parser.exit()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stretch-lab",
         description="Exact spectral analysis of skew-reciprocal integer matrices.",
     )
-    parser.add_argument(
-        "--version",
-        action=_VersionAction,
-        nargs=0,
-        default=argparse.SUPPRESS,
-        help="show program's version number and exit",
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, tol=True):

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 from . import _kernels
 from ._immutable import Immutable, set_field
 from .errors import CheckFailed
-from .poly import IntPolynomial
+from .poly import IntPolynomial, int_from_json
 from .roots import (
     DEFAULT_TOL,
     NoRealRootError,
@@ -107,7 +107,7 @@ def matrix_from_json(data: dict) -> IntMatrix:
     rows = data.get("rows") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix JSON must be an object with a 'rows' list of lists")
-    return IntMatrix([int(e) for e in row] for row in rows)
+    return IntMatrix(map(int_from_json, row) for row in rows)
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:

@@ -367,7 +367,6 @@ def cyclotomic(m: int) -> IntPolynomial:
     return exact_div(monomial(m) - one(), divisors)
 
 
-@functools.cache
 def _phi_sieve(limit: int) -> tuple[int, ...]:
     """Euler phi for 1..limit by sieving."""
     phi = list(range(limit + 1))
@@ -378,7 +377,6 @@ def _phi_sieve(limit: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
-@functools.cache
 def cyclotomic_indices_up_to_degree(deg: int) -> tuple[int, ...]:
     """All m with phi(m) <= deg; search bound m <= 2*deg^2 since phi(m) >= sqrt(m/2)."""
     if deg < 1:
@@ -395,7 +393,17 @@ def poly_to_json(p: IntPolynomial) -> dict:
     return {"coeffs": [str(c) for c in p.coeffs]}
 
 
+def int_from_json(value) -> int:
+    """A wire integer: a JSON int or a decimal string.  A float or a bool
+    raises ValueError instead of being truncated to an int."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise ValueError(f"an integer must be a JSON int or a decimal string, got {value!r}")
+
+
 def poly_from_json(data: dict) -> IntPolynomial:
     if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
         raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
-    return IntPolynomial(int(c) for c in data["coeffs"])
+    return IntPolynomial(map(int_from_json, data["coeffs"]))

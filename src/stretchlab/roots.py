@@ -23,6 +23,11 @@ from .poly import IntPolynomial, exact_div, one, poly_gcd, remainder_sequence
 #: Default enclosure width, a dyadic stand-in for 1e-12.
 DEFAULT_TOL = Fraction(1, 2**40)
 
+#: Finest enclosure width the CLI accepts: bisection work grows with the
+#: bits of the width, so a few characters of ``--tol`` must not ask for
+#: thousands of them (``sharpness --k 200`` takes ~0.5 s at this width).
+MIN_TOL = Fraction(1, 2**256)
+
 #: t^2 - 6t + 1; its larger root is the squared silver ratio 3 + 2*sqrt(2).
 SILVER_SQUARED_POLY = IntPolynomial((1, -6, 1))
 

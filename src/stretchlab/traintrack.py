@@ -43,9 +43,12 @@ class TrackEdge(NamedTuple):
 class TrainTrack(Immutable):
     """Vertices and edges of a validated track.
 
-    Its derived data (geometry, boundary, weight space, skew form, Gram
-    form) is computed once and cached in the instance ``__dict__``; the
-    fields cannot be reassigned, so the caches never go stale.
+    The constructor walks the half-edges once: it validates them and builds
+    the lookups half-edge -> edge / mate / side / rotation successor that
+    every derived structure reads.  The derived data (boundary, switch
+    matrix, weight space, skew form, Gram form) is computed once and cached
+    in the instance ``__dict__``; the fields cannot be reassigned, so the
+    caches never go stale.
     """
 
     def __init__(self, vertices: Iterable, edges: Iterable):
@@ -57,9 +60,40 @@ class TrainTrack(Immutable):
             e if isinstance(e, TrackEdge) else TrackEdge((e[0][0], e[0][1]), e[1])
             for e in edges
         )
+        edge_of: dict[int, int] = {}
+        mate: dict[int, int] = {}
+        for i, e in enumerate(es):
+            if e.kind not in ("real", "inf"):
+                raise InvalidTrackError(f"edge kind must be 'real' or 'inf', got {e.kind!r}")
+            h1, h2 = e.ends
+            if h1 == h2:
+                raise InvalidTrackError("an edge needs two distinct half-edge ids")
+            edge_of[h1] = edge_of[h2] = i
+            mate[h1], mate[h2] = h2, h1
+        if len(edge_of) != 2 * len(es):
+            raise InvalidTrackError("a half-edge id appears on more than one edge end")
+        side_of: dict[int, int] = {}  # 0 = side_a, 1 = side_b
+        rotation_next: dict[int, int] = {}
+        on_sides = 0
+        for v in vs:
+            if not v.side_a or not v.side_b:
+                raise InvalidTrackError("both sides of every vertex must be nonempty")
+            side_of.update(dict.fromkeys(v.side_a, 0))
+            side_of.update(dict.fromkeys(v.side_b, 1))
+            # counterclockwise rotation: side_a right-to-left, side_b left-to-right
+            rotation = v.side_a[::-1] + v.side_b
+            rotation_next.update(zip(rotation, rotation[1:] + rotation[:1]))
+            on_sides += len(rotation)
+        if len(side_of) != on_sides:
+            raise InvalidTrackError("a half-edge id appears on more than one side")
+        if side_of.keys() != edge_of.keys():
+            raise InvalidTrackError("side half-edges and edge ends do not match up")
         set_field(self, "vertices", vs)
         set_field(self, "edges", es)
-        _validate(self)
+        set_field(self, "_edge_of", edge_of)
+        set_field(self, "_mate", mate)
+        set_field(self, "_side_of", side_of)
+        set_field(self, "_rotation_next", rotation_next)
 
     def __eq__(self, other):
         if other.__class__ is not TrainTrack:
@@ -80,23 +114,32 @@ class TrainTrack(Immutable):
         return [i for i, e in enumerate(self.edges) if e.kind == "inf"]
 
     @cached_property
-    def _geometry(self) -> _Geometry:
-        return _Geometry(self)
-
-    @cached_property
     def _boundary(self) -> tuple[BoundaryComponent, ...]:
         return boundary_components(self)
 
     @cached_property
+    def _switch(self) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        edge_of = self._edge_of
+        for v in self.vertices:
+            row = [0] * self.n_edges
+            for h in v.side_a:
+                row[edge_of[h]] += 1
+            for h in v.side_b:
+                row[edge_of[h]] -= 1
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
     def _weight_space(self) -> WeightSpace:
-        return WeightSpace(self, _kernel(switch_matrix(self), self.n_edges))
+        return WeightSpace(self, _kernel(self._switch, self.n_edges))
 
     @cached_property
     def _skew(self) -> list[list[int]]:
         """The matrix F with omega(w, w2) = w F w2: each same-side pair h1
         left of h2 adds +1 at (e1, e2) and -1 at (e2, e1)."""
         f = [[0] * self.n_edges for _ in self.edges]
-        edge_of = self._geometry.edge_of
+        edge_of = self._edge_of
         for v in self.vertices:
             for side in v:
                 for h1, h2 in itertools.combinations(side, 2):
@@ -112,68 +155,18 @@ class TrainTrack(Immutable):
         return GramForm(tuple(tuple(_dot(v, fu) for fu in images) for v in basis))
 
 
-def _validate(track: TrainTrack) -> None:
-    from_edges: list[int] = []
-    for e in track.edges:
-        if e.kind not in ("real", "inf"):
-            raise InvalidTrackError(f"edge kind must be 'real' or 'inf', got {e.kind!r}")
-        if e.ends[0] == e.ends[1]:
-            raise InvalidTrackError("an edge needs two distinct half-edge ids")
-        from_edges.extend(e.ends)
-    if len(set(from_edges)) != len(from_edges):
-        raise InvalidTrackError("a half-edge id appears on more than one edge end")
-    from_sides: list[int] = []
-    for v in track.vertices:
-        if not v.side_a or not v.side_b:
-            raise InvalidTrackError("both sides of every vertex must be nonempty")
-        from_sides.extend(v.side_a)
-        from_sides.extend(v.side_b)
-    if len(set(from_sides)) != len(from_sides):
-        raise InvalidTrackError("a half-edge id appears on more than one side")
-    if set(from_sides) != set(from_edges):
-        raise InvalidTrackError("side half-edges and edge ends do not match up")
-
-
-class _Geometry:
-    """Derived lookups: half-edge -> edge / mate / side / rotation."""
-
-    def __init__(self, track: TrainTrack):
-        self.edge_of: dict[int, int] = {}
-        self.mate: dict[int, int] = {}
-        for i, e in enumerate(track.edges):
-            h1, h2 = e.ends
-            self.edge_of[h1] = self.edge_of[h2] = i
-            self.mate[h1] = h2
-            self.mate[h2] = h1
-        self.side_of: dict[int, int] = {}  # 0 = side_a, 1 = side_b
-        self.rotation_next: dict[int, int] = {}
-        for v in track.vertices:
-            for h in v.side_a:
-                self.side_of[h] = 0
-            for h in v.side_b:
-                self.side_of[h] = 1
-            # counterclockwise rotation: side_a right-to-left, side_b left-to-right
-            rotation = tuple(reversed(v.side_a)) + v.side_b
-            for a, b in zip(rotation, rotation[1:] + rotation[:1]):
-                self.rotation_next[a] = b
-
-
 def is_standardly_embedded(track: TrainTrack) -> bool:
     """One side per vertex = exactly two infinitesimal half-edges, the other
     all real; this makes the infinitesimal edges a disjoint union of cycles."""
-    kinds = {}
-    for e in track.edges:
-        for h in e.ends:
-            kinds[h] = e.kind
+    edges, edge_of = track.edges, track._edge_of
     for v in track.vertices:
-        sides = (v.side_a, v.side_b)
-        pure = [{kinds[h] for h in side} for side in sides]
-        if any(len(p) != 1 for p in pure):
+        kinds = [{edges[edge_of[h]].kind for h in side} for side in v]
+        if kinds == [{"inf"}, {"real"}]:
+            inf_side = v.side_a
+        elif kinds == [{"real"}, {"inf"}]:
+            inf_side = v.side_b
+        else:
             return False
-        labels = (pure[0].pop(), pure[1].pop())
-        if sorted(labels) != ["inf", "real"]:
-            return False
-        inf_side = sides[labels.index("inf")]
         if len(inf_side) != 2:
             return False
     return True
@@ -182,16 +175,9 @@ def is_standardly_embedded(track: TrainTrack) -> bool:
 # -- switch conditions and the weight space -----------------------------
 
 
-def switch_matrix(track: TrainTrack) -> list[list[int]]:
+def switch_matrix(track: TrainTrack) -> tuple[tuple[int, ...], ...]:
     """Rows = vertices; entry = (#halves of e on side_a) - (#on side_b)."""
-    m = [[0] * track.n_edges for _ in track.vertices]
-    edge_of = track._geometry.edge_of
-    for vi, v in enumerate(track.vertices):
-        for h in v.side_a:
-            m[vi][edge_of[h]] += 1
-        for h in v.side_b:
-            m[vi][edge_of[h]] -= 1
-    return m
+    return track._switch
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -242,7 +228,7 @@ class WeightSpace(NamedTuple):
 def satisfies_switch_conditions(track: TrainTrack, w: Sequence) -> bool:
     if len(w) != track.n_edges:
         raise ValueError("weight vector length must match the edge count")
-    return not any(_apply(switch_matrix(track), tuple(map(Fraction, w))))
+    return not any(_apply(track._switch, tuple(map(Fraction, w))))
 
 
 def weight_space(track: TrainTrack) -> WeightSpace:
@@ -255,16 +241,10 @@ def weight_space(track: TrainTrack) -> WeightSpace:
 
 def thurston_form(track: TrainTrack, w: Sequence, w2: Sequence) -> Fraction:
     """sum over vertices and same-side pairs (e1 left of e2) of
-    w_{e1} w2_{e2} - w_{e2} w2_{e1}; exact rational."""
+    w_{e1} w2_{e2} - w_{e2} w2_{e1}, that is w F w2; exact rational."""
     w, w2 = tuple(map(Fraction, w)), tuple(map(Fraction, w2))
     if not (satisfies_switch_conditions(track, w) and satisfies_switch_conditions(track, w2)):
         raise ValueError("both weight vectors must satisfy the switch conditions")
-    return _omega(track, w, w2)
-
-
-def _omega(track: TrainTrack, w: Sequence, w2: Sequence):
-    """``thurston_form`` without the switch-condition checks or conversions:
-    w F w2, in the entries' own type (ints or Fractions)."""
     return _dot(w, _apply(track._skew, w2))
 
 
@@ -308,8 +288,8 @@ class BoundaryComponent(NamedTuple):
 
 
 def boundary_components(track: TrainTrack) -> tuple[BoundaryComponent, ...]:
-    geom = track._geometry
-    step = {h: geom.rotation_next[geom.mate[h]] for h in geom.mate}
+    mate, side_of = track._mate, track._side_of
+    step = {h: track._rotation_next[mate[h]] for h in mate}
     seen: set[int] = set()
     comps = []
     for h0 in sorted(step):
@@ -325,10 +305,10 @@ def boundary_components(track: TrainTrack) -> tuple[BoundaryComponent, ...]:
         cusp_positions = []
         for i, h in enumerate(walk):
             prev = walk[i - 1]
-            arrival = geom.mate[prev]
-            if geom.side_of[arrival] == geom.side_of[h]:
+            arrival = mate[prev]
+            if side_of[arrival] == side_of[h]:
                 cusp_positions.append(i)
-        inner = all(track.edges[geom.edge_of[h]].kind == "inf" for h in walk)
+        inner = all(track.edges[track._edge_of[h]].kind == "inf" for h in walk)
         comps.append(
             BoundaryComponent(tuple(walk), tuple(cusp_positions), inner)
         )
@@ -344,7 +324,7 @@ def radical_element(track: TrainTrack, component: BoundaryComponent) -> tuple[in
     n = component.cusps
     if n == 0 or n % 2:
         raise ValueError("radical elements need an even, positive cusp count")
-    edge_of = track._geometry.edge_of
+    edge_of = track._edge_of
     weights = [0] * track.n_edges
     positions = list(component.cusp_positions)
     length = len(component.walk)
@@ -352,7 +332,7 @@ def radical_element(track: TrainTrack, component: BoundaryComponent) -> tuple[in
         end = positions[k % n]  # next cusp position, cyclically
         for i in range(start, start + (end - start) % length):
             weights[edge_of[component.walk[i % length]]] += (-1) ** k
-    if any(_apply(switch_matrix(track), weights)):
+    if any(_apply(track._switch, weights)):
         raise InvalidTrackError("radical element violates a switch condition")
     return tuple(weights)
 

@@ -1,12 +1,17 @@
 """Reciprocity predicates, cyclotomic stripping, and the spectral class."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stretchlab.poly
 from conftest import random_polynomial, random_reciprocal, random_skew_reciprocal
 from cyclotomic_reference import strip_by_trial_division
 from stretchlab.classify import (
@@ -92,6 +97,34 @@ def test_strip_decomposition_soundness_random():
                     continue
                 _, rem, _, exact = divrem(core, phi)
                 assert not (exact and rem.is_zero()), (p, m)
+
+
+#: Strips t^d + 2 for d = 1..40 and prints the bytes still allocated after.
+_RETAINED_BY_STRIPPING = """
+import tracemalloc
+from stretchlab.classify import strip_cyclotomic
+from stretchlab.poly import IntPolynomial
+tracemalloc.start()
+for d in range(1, 41):
+    strip_cyclotomic(IntPolynomial([2] + [0] * (d - 1) + [1]))
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_stripping_retains_only_the_divisor_lists():
+    # a fresh process, so no earlier test has filled a cache; what stays is
+    # each degree's divisor list and its Phi_m (~0.2 MB), not a phi sieve
+    # of 2 d^2 entries per degree (~1.5 MB over these degrees)
+    src = str(Path(stretchlab.poly.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _RETAINED_BY_STRIPPING],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert int(done.stdout) < 750_000
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, schemas, determinism of repro targets."""
 
 import decimal
+import importlib
 import json
 import multiprocessing
 import os
@@ -20,6 +21,8 @@ import stretchlab.families
 import stretchlab.matrices
 import stretchlab.roots
 import stretchlab.sharpness
+from conftest import all_track_fixtures
+from stretchlab import __version__
 from stretchlab.classify import STRIP_DEGREE_CAP
 from stretchlab.cli import _json_chunks, main
 from stretchlab.curvegraph import GrowthRateError
@@ -31,13 +34,15 @@ from stretchlab.matrices import (
     spectral_radius,
 )
 from stretchlab.poly import InexactDivisionError, IntPolynomial
-from stretchlab.roots import NoRealRootError, RootEnclosure, ValueInterval
+from stretchlab.roots import MIN_TOL, NoRealRootError, RootEnclosure, ValueInterval
 from stretchlab.sharpness import SharpnessInvariantError, expected_char_poly
+from stretchlab.traintrack import track_to_json
 
 #: Recorded stdout: of `repro thm-main` and `repro set-theorem` from before
-#: the targets moved out of the CLI module, and of the family, search and
+#: the targets moved out of the CLI module, of the family, search and
 #: sharpness tables from before primitivity, the skew predicate and the
-#: remainder sequence each became one function.
+#: remainder sequence each became one function, and of `traintrack` on every
+#: track fixture from before the constructor built the half-edge lookups.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ENCLOSURE_SCHEMA = {
@@ -126,6 +131,39 @@ def test_classify_dispatch_example(capsys):
     assert payload["skew_up_to_cyclotomic"] is True
     assert payload["core"]["coeffs"] == ["-1", "-1", "1"]
     assert payload["largest_real_root"]["decimal"].startswith("1.618033989")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--poly", '{"coeffs":[1.5, 1]}'],
+        ["classify", "--poly", '{"coeffs":[-1, 2.0, 1]}'],
+        ["classify", "--poly", '{"coeffs":[true, 1]}'],
+        ["matrix", "--matrix", '{"rows":[[1.9,1],[1,true]]}'],
+        ["matrix", "--matrix", '{"rows":[[1,1],[1,false]]}'],
+        ["curve-graph", "--matrix", '{"rows":[[1.0,1],[1,0]]}'],
+    ],
+    ids=["poly-float", "poly-integral-float", "poly-bool", "matrix-float", "matrix-bool", "curve-graph-float"],
+)
+def test_wire_float_or_bool_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "an integer must be a JSON int or a decimal string" in captured.err
+
+
+@pytest.mark.parametrize(
+    "as_ints, as_strings",
+    [
+        (["classify", "--poly", '{"coeffs":[-1,-1,1]}'], ["classify", "--poly", '{"coeffs":["-1","-1","1"]}']),
+        (["matrix", "--matrix", '{"rows":[[1,1],[1,0]]}'], ["matrix", "--matrix", '{"rows":[["1","1"],["1","0"]]}']),
+    ],
+    ids=["poly", "matrix"],
+)
+def test_wire_integers_as_json_ints_or_decimal_strings_agree(as_ints, as_strings, capsys):
+    code, out = run_cli(capsys, *as_ints)
+    assert code == 0
+    assert run_cli(capsys, *as_strings) == (0, out)
 
 
 def test_malformed_json_exits_2(capsys):
@@ -345,6 +383,27 @@ def test_oversized_request_exits_2_before_allocating(argv, message):
     assert done.stderr.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "tol", ["1e-1000", "1e-20000", f"1/{2**256 + 1}"], ids=["1e-1000", "1e-20000", "just-below-2^-256"]
+)
+def test_tolerance_below_the_floor_exits_2_before_any_work(tol, monkeypatch, capsys):
+    # at 1e-20000 the classify below would bisect for minutes
+    monkeypatch.setattr(stretchlab.roots, "largest_real_root", None)
+    with pytest.raises(SystemExit) as exit_:
+        main(["classify", "--poly", '{"coeffs":["-1","-1","1"]}', "--tol", tol])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --tol: tolerance must be at least 2^-256, got '{tol}'" in captured.err
+
+
+def test_tolerance_at_the_floor_is_accepted(capsys):
+    assert MIN_TOL == Fraction(1, 2**256)
+    code, out = run_cli(capsys, "classify", "--poly", '{"coeffs":["-1","-1","1"]}', "--tol", f"1/{2**256}")
+    assert code == 0
+    assert json.loads(out)["largest_real_root"]["decimal"] == "1.618033989"
+
+
 @pytest.mark.parametrize("tol", ["1/0", "2/0", "abc"])
 def test_tolerance_that_is_not_a_rational_exits_2(tol, capsys):
     with pytest.raises(SystemExit) as exit_:
@@ -508,6 +567,42 @@ def test_traintrack_command(tmp_path, capsys):
     assert payload["standardly_embedded"] is True
     assert payload["weight_space_dim"] == 2
     assert payload["radical_containment"] is True
+
+
+def test_version_names_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"stretch-lab {__version__}\n"
+
+
+def test_matrix_above_the_strip_cap_exits_2_before_its_char_poly(monkeypatch, capsys):
+    classify_module = importlib.import_module("stretchlab.classify")
+    monkeypatch.setattr(classify_module, "STRIP_DEGREE_CAP", 3)
+    code, out = run_cli(capsys, "matrix", "--matrix", '{"rows":[[0,1,0],[0,0,1],[1,1,0]]}')
+    assert code == 0
+    assert json.loads(out)["n"] == 3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix work ran past the cap")
+
+    for name in ("is_primitive", "char_poly", "spectral_radius"):
+        monkeypatch.setattr(stretchlab.matrices, name, refuse)
+    assert main(["matrix", "--matrix", '{"rows":[[0,1,0,0],[0,0,1,0],[0,0,0,1],[1,1,0,0]]}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n = 4 exceeds the cyclotomic strip cap 3\n"
+
+
+def test_traintrack_reports_match_their_golden_bytes(tmp_path, capsys):
+    outs = []
+    for i, track in enumerate(all_track_fixtures()):
+        path = tmp_path / f"t{i}.json"
+        path.write_text(json.dumps(track_to_json(track)))
+        code, out = run_cli(capsys, "traintrack", "--file", str(path))
+        assert code == 0
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "traintrack_fixtures.txt").read_text()
 
 
 def test_traintrack_bad_file_exits_2(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_digraph_structure_known_values():
 
 
 def test_backend_label():
-    # the benchmark's start-up probe and `--version` read it
+    # the benchmark's start-up probe reads it
     assert BACKEND == "pure"
 
 

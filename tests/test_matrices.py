@@ -223,3 +223,11 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"rows": [["1", "2"], ["3"]]})
     with pytest.raises(ValueError):
         matrix_from_json({})
+
+
+def test_matrix_json_entries_are_json_ints_or_decimal_strings():
+    assert matrix_from_json({"rows": [[1, "2"], ["3", -4]]}) == IntMatrix([[1, 2], [3, -4]])
+    # a float or a bool is not truncated to an int
+    for bad in (1.9, 1.0, True, False):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": [[bad, 1], [1, 1]]})

@@ -15,6 +15,7 @@ from stretchlab.poly import (
     cyclotomic_indices_up_to_degree,
     divrem,
     exact_div,
+    int_from_json,
     one,
     poly_from_json,
     poly_gcd,
@@ -159,6 +160,20 @@ def test_json_roundtrip():
     assert poly_from_json(poly_to_json(p)) == p
     with pytest.raises(ValueError):
         poly_from_json({"nope": []})
+
+
+def test_wire_integers_are_json_ints_or_decimal_strings():
+    assert int_from_json(-7) == -7
+    assert int_from_json("-12") == -12
+    assert poly_from_json({"coeffs": [-1, "-1", 1]}) == P((-1, -1, 1))
+    # a float or a bool is not truncated to an int
+    for bad in (1.5, 2.0, True, False, None, [1], "1.5"):
+        with pytest.raises(ValueError):
+            int_from_json(bad)
+    with pytest.raises(ValueError):
+        poly_from_json({"coeffs": [1.5, 1]})
+    with pytest.raises(ValueError):
+        poly_from_json({"coeffs": [True, 1]})
 
 
 def test_str_rendering():

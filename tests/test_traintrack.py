@@ -61,6 +61,15 @@ def test_weight_space_dim_equals_corank_of_switch_map():
             assert m * sympy.Matrix(vec) == sympy.zeros(len(track.vertices), 1)
 
 
+def test_switch_matrix_is_built_once_per_track():
+    for track in all_track_fixtures():
+        rows = switch_matrix(track)
+        assert rows is switch_matrix(track)
+        assert all(type(row) is tuple for row in rows)
+        assert satisfies_switch_conditions(track, weight_space(track).basis[0])
+        assert switch_matrix(track) is rows
+
+
 def test_invalid_tracks_rejected():
     with pytest.raises(InvalidTrackError):
         TrainTrack([((1,), ())], [((1, 2), "real")])  # empty side
