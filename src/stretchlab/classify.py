@@ -13,12 +13,18 @@ divides the value of the remaining core at 2.  That is necessary for Phi_m
 to divide the core (Gauss's lemma), not sufficient, so it skips only
 divisions that would fail: at n = 16 the families make 761 divisions where
 plain trial division makes 8,700.
+
+``qualify`` is the verdict the bound is about: whether a char poly qualifies
+(skew up to cyclotomics, a real root lambda > 1) and on which side of
+3 + 2*sqrt(2) its normalized value lambda^n lies.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 from ._immutable import Immutable, set_field
 from .errors import InputError
@@ -29,7 +35,14 @@ from .poly import (
     divrem,
     one,
 )
-from .roots import unit_circle_root_count
+from .roots import (
+    DEFAULT_TOL,
+    RootEnclosure,
+    ValueInterval,
+    compare_power_to_silver_squared,
+    largest_root_above_one,
+    unit_circle_root_count,
+)
 
 
 def is_reciprocal(p: IntPolynomial) -> int | None:
@@ -142,6 +155,31 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial, parity: bool | None = 
 def _skew_core(core: IntPolynomial) -> bool:
     """Whether a cyclotomic-free core is constant or skew-reciprocal."""
     return core.degree() == 0 or is_skew_reciprocal(core) is not None
+
+
+class Qualification(NamedTuple):
+    """lambda > 1, lambda^n and the side (-1, 0, +1) of 3 + 2*sqrt(2) it lies on."""
+
+    root: RootEnclosure
+    normalized: ValueInterval
+    side: int
+
+
+def qualify(
+    chi: IntPolynomial, n: int, tol: Fraction = DEFAULT_TOL, skew: bool | None = None
+) -> Qualification | None:
+    """The verdict on chi normalized by n, or None unless chi is skew up to
+    cyclotomics with a real root above 1; the side is exact at any ``tol``.
+
+    A caller that already holds ``is_skew_reciprocal_up_to_cyclotomic(chi)``
+    passes it as ``skew``.
+    """
+    if not (is_skew_reciprocal_up_to_cyclotomic(chi) if skew is None else skew):
+        return None
+    root = largest_root_above_one(chi, tol)
+    if root is None:
+        return None
+    return Qualification(root, root.powered(n), compare_power_to_silver_squared(root, n))
 
 
 def parity_condition(p: IntPolynomial) -> bool:

@@ -330,7 +330,7 @@ def _cmd_curve_graph(args) -> int:
 
 def _cmd_family(args) -> int:
     from .families import ALL_FORMS, SCAN_DEGREE_CAP, enumerate_admissible, monotonicity_scan
-    from .roots import compare_power_to_silver_squared, silver_ratio_squared
+    from .roots import silver_ratio_squared
 
     if args.d is not None and not args.scan:
         raise InputError("--d applies only with --scan")
@@ -364,9 +364,7 @@ def _cmd_family(args) -> int:
         )
     reports = enumerate_admissible(args.n, forms, args.tol)
     threshold = silver_ratio_squared(args.tol)
-    below = [
-        r for r in reports if compare_power_to_silver_squared(r.root, args.n) < 0
-    ]
+    below = [r for r in reports if r.side < 0]
     payload = {
         "n": args.n,
         "forms": list(forms),

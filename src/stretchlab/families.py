@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import NamedTuple
 
 from ._immutable import Immutable, set_field
@@ -27,18 +28,11 @@ from .classify import (
     is_skew_reciprocal,
     is_skew_reciprocal_up_to_cyclotomic,
     parity_condition,
+    qualify,
 )
 from .errors import InputError
 from .poly import IntPolynomial
-from .roots import (
-    DEFAULT_TOL,
-    RootEnclosure,
-    ValueInterval,
-    compare_enclosures,
-    largest_real_root,
-    largest_root_above_one,
-    silver_ratio_squared,
-)
+from .roots import DEFAULT_TOL, RootEnclosure, ValueInterval, compare_enclosures, largest_real_root
 
 A_ONE_SIZES = {"2A1": 2, "3A1": 3, "4A1": 4, "5A1": 5}
 ALL_FORMS = ("2A1", "3A1", "4A1", "5A1", "AStar2")
@@ -115,15 +109,11 @@ class AdmissibilityReport(NamedTuple):
     skew_up_to_cyclotomic: bool
     root: RootEnclosure | None
     normalized: ValueInterval | None
+    side: int | None  # of 3 + 2*sqrt(2), as in classify.qualify
 
     @property
     def admissible(self) -> bool:
-        return (
-            self.parity_ok
-            and self.primitivity_compatible
-            and self.skew_up_to_cyclotomic
-            and self.root is not None
-        )
+        return self.root is not None  # set only when every filter passed
 
 
 def admissibility_report(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> AdmissibilityReport:
@@ -132,16 +122,9 @@ def admissibility_report(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> Admis
     prim = primitivity_compatible(p)
     # parity is necessary for skew up to cyclotomics (see that predicate)
     skew = parity and is_skew_reciprocal_up_to_cyclotomic(p, parity)
-    root = largest_root_above_one(p, tol) if parity and prim and skew else None
-    normalized = None if root is None else root.powered(p.degree())
-    return AdmissibilityReport(
-        polynomial=p,
-        parity_ok=parity,
-        primitivity_compatible=prim,
-        skew_up_to_cyclotomic=skew,
-        root=root,
-        normalized=normalized,
-    )
+    verdict = qualify(p, p.degree(), tol, skew) if prim else None
+    root, normalized, side = verdict or (None, None, None)
+    return AdmissibilityReport(p, parity, prim, skew, root, normalized, side)
 
 
 def _form_instances(tag: str, n: int):
@@ -164,7 +147,8 @@ def enumerate_admissible(
     tol: Fraction = DEFAULT_TOL,
 ) -> list[AdmissibilityReport]:
     """Admissible candidates over the requested forms at degree n,
-    deduplicated by polynomial, sorted by normalized largest root."""
+    deduplicated by polynomial, sorted by their certified normalized values
+    (compare_enclosures on the roots), equal values by coefficients."""
     if n < 2:
         raise InputError("enumeration needs degree >= 2")
     if n > DEGREE_CAP:
@@ -185,8 +169,13 @@ def enumerate_admissible(
             report = admissibility_report(p, tol)
             if report.admissible:
                 reports.append(report)
-    reports.sort(key=lambda r: (r.normalized.midpoint, r.polynomial.coeffs))
+    reports.sort(key=cmp_to_key(_by_value))
     return reports
+
+
+def _by_value(a: AdmissibilityReport, b: AdmissibilityReport) -> int:
+    x, y = a.polynomial.coeffs, b.polynomial.coeffs
+    return compare_enclosures(a.root, b.root) or (x > y) - (x < y)
 
 
 # -- monotonicity scans of the symmetric-exponent branches -------------
@@ -285,12 +274,10 @@ def verify_low_degree_exceptions(tol: Fraction = DEFAULT_TOL) -> LowDegreeReport
     sign2 = is_skew_reciprocal(p2)
     class3 = classify(p3)
     skew3, core3 = class3.skew_up_to_cyclotomic, class3.core
-    root2 = largest_real_root(p2, tol)
-    root3 = largest_real_root(p3, tol)
-    mu2 = root2.powered(2)
-    mu3 = root3.powered(3)
-    threshold = silver_ratio_squared(tol)
-    below = mu2.hi < threshold.lo and mu3.hi < threshold.lo
+    # both qualify; their sides are exact at any tol
+    verdict2 = qualify(p2, 2, tol, sign2 is not None)
+    verdict3 = qualify(p3, 3, tol, skew3)
+    below = verdict2.side < 0 and verdict3.side < 0
     q1 = IntPolynomial((-1, 0, 0, -1, 1))  # t^4 - t^3 - 1
     q2 = IntPolynomial((-1, -2, 0, 0, 1))  # t^4 - 2t - 1
     # either failure makes a polynomial inadmissible, so both are excluded
@@ -301,8 +288,8 @@ def verify_low_degree_exceptions(tol: Fraction = DEFAULT_TOL) -> LowDegreeReport
         excluded.append((q2, "skew_up_to_cyclotomic"))
     ok = sign2 == -1 and skew3 and core3 == p2 and below and len(excluded) == 2
     return LowDegreeReport(
-        mu_squared=mu2,
-        mu_cubed=mu3,
+        mu_squared=verdict2.normalized,
+        mu_cubed=verdict3.normalized,
         n2_skew_sign=sign2,
         n3_skew_up_to_cyclotomic=skew3,
         n3_core=core3,

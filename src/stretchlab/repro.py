@@ -17,7 +17,6 @@ from .poly import IntPolynomial
 from .roots import (
     RootEnclosure,
     compare_enclosures,
-    compare_power_to_silver_squared,
     largest_real_root,
     unit_circle_root_count,
 )
@@ -106,7 +105,7 @@ def family_minima(mu: RootEnclosure, tol: Fraction) -> dict:
             ok &= n != 4
             continue
         minima[str(n)] = reports[0].normalized.decimal()
-        ok &= compare_power_to_silver_squared(reports[0].root, n) >= 0
+        ok &= reports[0].side >= 0
         if n == 4:
             ok &= compare_enclosures(reports[0].root, mu) == 0
     return {

@@ -1,11 +1,11 @@
 """Exhaustive desk-scale searches over small nonnegative integer matrices.
 
-A matrix qualifies when it is primitive, lies in GL_n(Z), its characteristic
-polynomial is skew-reciprocal up to cyclotomic factors, and its spectral
-radius exceeds 1; the search certifies that no qualifying matrix in the
-scanned slice has normalized spectral radius below the silver bound
-3 + 2*sqrt(2) (a violation requires strictly disjoint enclosures, so interval
-overlap can never produce a false positive).
+A matrix qualifies when it is primitive, lies in GL_n(Z), and
+``classify.qualify`` accepts its characteristic polynomial (skew-reciprocal
+up to cyclotomics, spectral radius above 1); the search certifies that no
+qualifying matrix in the scanned slice has normalized spectral radius below
+the silver bound 3 + 2*sqrt(2) (a violation requires strictly disjoint
+enclosures, so interval overlap can never produce a false positive).
 
 The filter and the characteristic polynomial are invariant under
 A -> P A P^T and A -> A^T, so the scan visits one canonical matrix per orbit
@@ -47,18 +47,11 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from ._kernels import charpoly, digraph_structure
-from .classify import classify, is_skew_reciprocal_up_to_cyclotomic
+from .classify import classify, qualify
 from .errors import BudgetExceededError, InputError
 from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
-from .roots import (
-    DEFAULT_TOL,
-    RootEnclosure,
-    ValueInterval,
-    compare_enclosures,
-    compare_power_to_silver_squared,
-    largest_root_above_one,
-)
+from .roots import DEFAULT_TOL, RootEnclosure, ValueInterval, compare_enclosures
 
 DEFAULT_BUDGET = 10**6
 BUDGET_ENV = "STRETCHLAB_BUDGET"
@@ -306,25 +299,25 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
         by_poly.setdefault(chi, []).append(code)
 
     classes: list[QualifyingClass] = []
+    violations: list[QualifyingClass] = []
     count_qualifying = 0
     for coeffs in sorted(by_poly):
         poly = IntPolynomial(coeffs)
-        if not is_skew_reciprocal_up_to_cyclotomic(poly):
+        verdict = qualify(poly, cfg.n, cfg.tol)
+        if verdict is None:
             continue
-        root = largest_root_above_one(poly, cfg.tol)
-        if root is None:
-            continue  # spectral radius not > 1
         members = set().union(*(_orbit(code, cfg.n) for code in by_poly[coeffs]))
         count_qualifying += len(members)
-        classes.append(
-            QualifyingClass(
-                char_poly=poly,
-                root=root,
-                normalized=root.powered(cfg.n),
-                matrix_count=len(members),
-                least_matrix=IntMatrix(_rows(min(members), cfg.n)),
-            )
+        cls = QualifyingClass(
+            char_poly=poly,
+            root=verdict.root,
+            normalized=verdict.normalized,
+            matrix_count=len(members),
+            least_matrix=IntMatrix(_rows(min(members), cfg.n)),
         )
+        classes.append(cls)
+        if verdict.side < 0:
+            violations.append(cls)
 
     minimum = None
     if classes:
@@ -336,10 +329,6 @@ def run_search(cfg: SearchConfig, threads: int = 1) -> SearchResult:
             elif cmp == 0:
                 best.append(cls)
         minimum = min(best, key=lambda c: c.least_matrix.rows)
-
-    violations = [
-        cls for cls in classes if compare_power_to_silver_squared(cls.root, cfg.n) < 0
-    ]
 
     return SearchResult(
         config=cfg,
@@ -371,15 +360,10 @@ def witness_check(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> WitnessReport:
     chi = char_poly(a)
     det = (-1) ** a.n * chi.constant_term()
     spectral = classify(chi)
-    root = None
-    normalized = None
-    below = None
-    if report.primitive and det in (1, -1) and spectral.skew_up_to_cyclotomic:
-        root = largest_root_above_one(chi, tol)
-    qualifies = root is not None
-    if qualifies:
-        normalized = root.powered(a.n)
-        below = compare_power_to_silver_squared(root, a.n) < 0
+    verdict = None
+    if report.primitive and det in (1, -1):
+        verdict = qualify(chi, a.n, tol, spectral.skew_up_to_cyclotomic)
+    root, normalized, side = verdict or (None, None, None)
     return WitnessReport(
         matrix=a,
         nonnegative=report.nonnegative,
@@ -390,6 +374,6 @@ def witness_check(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> WitnessReport:
         spectral_class=spectral,
         root=root,
         normalized=normalized,
-        qualifies=qualifies,
-        below_threshold=below,
+        qualifies=verdict is not None,
+        below_threshold=None if side is None else side < 0,
     )

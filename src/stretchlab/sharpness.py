@@ -18,17 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import is_skew_reciprocal_up_to_cyclotomic
+from .classify import qualify
 from .errors import CheckFailed, InputError
 from .matrices import IntMatrix, char_poly, is_primitive
 from .poly import IntPolynomial
-from .roots import (
-    DEFAULT_TOL,
-    RootEnclosure,
-    ValueInterval,
-    compare_power_to_silver_squared,
-    largest_real_root,
-)
+from .roots import DEFAULT_TOL, RootEnclosure, ValueInterval
 
 
 #: Largest k built: the 2k x 2k matrix has 4k^2 entries, and k = 1000
@@ -97,20 +91,18 @@ def build_example(k: int, tol: Fraction = DEFAULT_TOL) -> SharpnessExample:
         raise SharpnessInvariantError(f"matrix not in GL at k={k}")
     if not is_primitive(matrix).primitive:
         raise SharpnessInvariantError(f"matrix not primitive at k={k}")
-    if not is_skew_reciprocal_up_to_cyclotomic(chi):
-        raise SharpnessInvariantError(f"char poly not skew-up-to-cyclotomic at k={k}")
-    root = largest_real_root(chi, tol)
+    verdict = qualify(chi, 2 * k, tol)
     # certified P_k > 3 + 2*sqrt(2); a value exactly on the bound fails too
-    if compare_power_to_silver_squared(root, 2 * k) <= 0:
-        raise SharpnessInvariantError(f"P_{k} does not exceed the silver bound")
+    if verdict is None or verdict.side <= 0:
+        raise SharpnessInvariantError(f"P_{k} does not qualify above the silver bound")
     return SharpnessExample(
         k=k,
         p_k=p,
         q_k=q,
         matrix=matrix,
         char_poly=chi,
-        root=root,
-        normalized=root.powered(2 * k),
+        root=verdict.root,
+        normalized=verdict.normalized,
     )
 
 

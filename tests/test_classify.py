@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from stretchlab.classify import (
     is_skew_reciprocal,
     is_skew_reciprocal_up_to_cyclotomic,
     parity_condition,
+    qualify,
     sqrt_min_poly,
     strip_cyclotomic,
 )
@@ -324,3 +326,34 @@ def test_salem_like():
     assert not is_salem_like(P((-1, -1, 1)))
     # right unit-circle count but not reciprocal: (t^2+1)(t^2-t-1)
     assert not is_salem_like(P((-1, -1, 0, -1, 1)))
+
+
+def test_qualify_sides():
+    # sigma^2 exactly: t^2 - 2t - 1 has root 1 + sqrt(2), decided algebraically
+    assert qualify(P((-1, -2, 1)), 2).side == 0
+    golden = qualify(P((-1, -1, 1)), 2)  # mu^2 below the bound
+    assert golden.side == -1
+    assert golden.normalized == golden.root.powered(2)
+    assert qualify(P((-1, -1, 0, -1, 1)), 4).side == 1  # mu^4 above it
+
+
+@pytest.mark.parametrize(
+    "chi",
+    [
+        P((-1, -2, 0, 0, 1)),  # t^4 - 2t - 1: not skew up to cyclotomics
+        cyclotomic(5),  # no root above 1
+        P((-1, 0, 0, -1, 1)),  # t^4 - t^3 - 1: parity fails
+    ],
+    ids=str,
+)
+def test_qualify_rejects(chi):
+    assert qualify(chi, chi.degree()) is None
+
+
+def test_qualify_takes_the_skew_value_a_caller_holds():
+    tol = Fraction(1, 2**10)
+    for tag in ALL_FORMS:
+        for form in _form_instances(tag, 6):
+            chi = instantiate(form, 6)
+            skew = is_skew_reciprocal_up_to_cyclotomic(chi)
+            assert qualify(chi, 6, tol, skew) == qualify(chi, 6, tol)

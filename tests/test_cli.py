@@ -430,7 +430,9 @@ def test_undecided_comparison_exits_3(monkeypatch, capsys):
     def undecided(*args):
         raise stretchlab.roots.SeparationError("enclosures neither separate nor share a certified root")
 
-    monkeypatch.setattr(stretchlab.roots, "compare_power_to_silver_squared", undecided)
+    # the package attribute ``classify`` is the function, so reach the module
+    classify_module = importlib.import_module("stretchlab.classify")
+    monkeypatch.setattr(classify_module, "compare_power_to_silver_squared", undecided)
     assert main(["family", "--n", "4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -689,6 +691,7 @@ def test_repro_thm_main_deterministic_across_threads(capsys):
         (["family", "--scan", "5A1", "--n", "12"], "family_scan_5A1_n12.json"),
         (["search", "--n", "3", "--max-entry", "2"], "search_n3_max2.json"),
         (["sharpness", "--table", "2..12", "--format", "csv"], "sharpness_table_2_12.csv"),
+        (["search", "--n", "4", "--max-entry", "1"], "search_n4_max1.json"),
     ],
     ids=lambda x: x if isinstance(x, str) else None,
 )

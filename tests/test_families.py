@@ -1,7 +1,10 @@
 """The five families: instantiation, filters, enumeration, scans, exceptions."""
 
 import importlib
+import json
 from collections import Counter
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -20,7 +23,7 @@ from stretchlab.families import (
     verify_low_degree_exceptions,
 )
 from stretchlab.poly import InexactDivisionError, IntPolynomial, exact_div
-from stretchlab.roots import compare_power_to_silver_squared
+from stretchlab.roots import compare_enclosures, compare_power_to_silver_squared
 
 P = IntPolynomial
 
@@ -199,11 +202,30 @@ def test_enumerate_matches_the_full_report_filter(n):
         instantiate(form, n).coeffs for tag in ALL_FORMS for form in _form_instances(tag, n)
     }
     reports = [admissibility_report(P(c)) for c in candidates]
-    expected = sorted(
-        (r for r in reports if r.admissible),
-        key=lambda r: (r.normalized.midpoint, r.polynomial.coeffs),
-    )
+    # certified order of the values; the stable sort keeps equal ones in coefficient order
+    by_coeffs = sorted((r for r in reports if r.admissible), key=lambda r: r.polynomial.coeffs)
+    expected = sorted(by_coeffs, key=cmp_to_key(lambda a, b: compare_enclosures(a.root, b.root)))
     assert enumerate_admissible(n) == expected
+
+
+@pytest.mark.parametrize("tol", ["1", "1/2"])
+def test_family_minimum_does_not_depend_on_the_tolerance(tol, capsys):
+    # coarse enclosures overlap, so only a certified order finds the minimum
+    assert main(["family", "--n", "12"]) == 0
+    fine = json.loads(capsys.readouterr().out)
+    assert main(["family", "--n", "12", "--tol", tol]) == 0
+    coarse = json.loads(capsys.readouterr().out)
+    assert fine["table"][0]["polynomial"] == "t^12 - t^7 - t^5 - 1"
+    assert coarse["table"][0]["polynomial"] == fine["table"][0]["polynomial"]
+    assert [row["polynomial"] for row in coarse["table"]] == [
+        row["polynomial"] for row in fine["table"]
+    ]
+
+
+def test_admissible_reports_carry_the_exact_side():
+    for n in (4, 6, 12):
+        for r in enumerate_admissible(n, tol=Fraction(1)):
+            assert r.side == compare_power_to_silver_squared(r.root, n)
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -300,3 +322,11 @@ def test_low_degree_exceptions():
     reasons = dict((str(p), why) for p, why in report.excluded_at_4)
     assert reasons["t^4 - t^3 - 1"] == "parity"
     assert reasons["t^4 - 2*t - 1"] == "skew_up_to_cyclotomic"
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 2), Fraction(1)])
+def test_low_degree_exceptions_hold_at_a_coarse_tolerance(tol):
+    # mu^2 and mu^3 enclosures this wide overlap the bound; the side is still exact
+    report = verify_low_degree_exceptions(tol)
+    assert report.below_bound
+    assert report.ok
