@@ -12,7 +12,12 @@ tests canonicity on every extension and filters each canonical one with a
 Bareiss determinant and a full char poly.  The cyclotomic row builds every
 Phi_m with phi(m) <= 60 from a cold cache, by ``cyclotomic`` (t^m - 1 over
 the Phi_d of the proper divisors) and by the Moebius product of the
-reference.  The stripping row times ``strip_cyclotomic``
+reference.  The pairwise-product rows build the polynomial whose roots are
+the products a_i a_j (i <= j) of the eigenvalues of a signed n x n matrix,
+n = 6, 8, 10, 12, as the signed-matrix gate of ``spectral_radius`` does
+(power sums (s_k^2 + s_2k)/2 of chi's power sums s_k, then Newton's
+identities) and by the reference route, the char poly of the
+n(n+1)/2-square matrix Sym^2 A.  The stripping row times ``strip_cyclotomic``
 (which divides only where Phi_m(2) divides the value at 2) and plain trial
 division on the parity survivors of the five families at n = 16.  The
 root-isolation rows time ``largest_real_root`` (one remainder sequence per
@@ -57,8 +62,13 @@ from stretchlab import _kernels, cli
 from stretchlab.classify import parity_condition, strip_cyclotomic
 from stretchlab.curvegraph import cycle_classes, verify_clique_identity
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
-from stretchlab.matrices import IntMatrix
-from stretchlab.poly import cyclotomic, cyclotomic_indices_up_to_degree
+from stretchlab.matrices import IntMatrix, char_poly
+from stretchlab.poly import (
+    cyclotomic,
+    cyclotomic_indices_up_to_degree,
+    from_power_sums,
+    power_sums,
+)
 from stretchlab.roots import largest_real_root, sturm_chain
 from stretchlab.search import SearchConfig, canonical_codes, run_search, scan_orbits
 from stretchlab.sharpness import build_matrix, expected_char_poly
@@ -68,6 +78,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import poly_reference  # noqa: E402
 from conftest import bigon_track, polygon_track  # noqa: E402
 from cyclotomic_reference import moebius_cyclotomic, strip_by_trial_division  # noqa: E402
+from matrix_reference import symmetric_square  # noqa: E402
 from search_reference import brute_force_search, reference_scan_orbits  # noqa: E402
 
 
@@ -92,6 +103,12 @@ def sympy_track_dims(track) -> tuple[int, int]:
         [[sum(u[i] * v[j] - u[j] * v[i] for i, j in pairs) for v in basis] for u in basis]
     )
     return len(basis), len(basis) - gram.rank()
+
+
+def pairwise_product_poly(chi):
+    """The polynomial of the pairwise root products of chi, from its power sums."""
+    s = power_sums(chi, chi.degree() * (chi.degree() + 1))
+    return from_power_sums([(s[k] ** 2 + s[2 * k + 1]) // 2 for k in range(len(s) // 2)])
 
 
 def startup_rows(runs: int) -> None:
@@ -216,6 +233,16 @@ def main():
     print(f"\n{'cyclotomic':<38} {'divisors':>10} {'moebius':>10} {'ratio':>9}")
     name = f"cold cache phi(m)<=60 x{len(indices)}"
     print(f"{name:<38} {t_divisors:>9.3f}s {t_moebius:>9.3f}s {t_moebius / t_divisors:>8.1f}x")
+
+    print(f"\n{'pairwise-product polynomial':<38} {'sums':>10} {'Sym^2':>10} {'ratio':>9}")
+    for n in (6, 8, 10) if args.quick else (6, 8, 10, 12):
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        chi = char_poly(a)
+        t_sums, built = timed(lambda: pairwise_product_poly(chi))
+        t_matrix, reference = timed(lambda: char_poly(symmetric_square(a)))
+        assert built == reference, f"power sums differ from the Sym^2 char poly at n={n}"
+        name = f"signed n={n} (degree {n * (n + 1) // 2})"
+        print(f"{name:<38} {t_sums:>9.3f}s {t_matrix:>9.3f}s {t_matrix / t_sums:>8.1f}x")
 
     candidates = {
         instantiate(form, 16) for tag in ALL_FORMS for form in _form_instances(tag, 16)

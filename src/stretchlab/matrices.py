@@ -3,10 +3,11 @@
 The characteristic polynomial is division-free (Hessenberg recurrence when
 the shape allows, Berkowitz otherwise) and the determinant is fraction-free
 Bareiss, so no rational rounding can occur.  The spectral radius of a
-matrix with a negative entry is gated exactly too, through the symmetric
-square, so nothing here touches floating point.  Primitivity is the graph
-criterion: nonnegative, strongly connected, cycle-length gcd one; the
-Wielandt power test is kept alongside as an independent oracle.
+matrix with a negative entry is gated exactly too, through the polynomial
+of pairwise eigenvalue products built from chi's power sums, so nothing
+here touches floating point.  Primitivity is the graph criterion:
+nonnegative, strongly connected, cycle-length gcd one; the Wielandt power
+test is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Iterable, NamedTuple
 
 from . import _kernels
 from ._immutable import Immutable, set_field
-from .errors import CheckFailed
-from .poly import IntPolynomial, int_from_json
+from .errors import CheckFailed, InputError
+from .poly import IntPolynomial, from_power_sums, int_from_json, power_sums
 from .roots import (
     DEFAULT_TOL,
     NoRealRootError,
@@ -27,6 +28,8 @@ from .roots import (
     largest_real_root,
     real_roots_in_interval,
 )
+
+SIGNED_GATE_CAP = 12  # the signed gate's polynomial has degree n(n+1)/2
 
 
 class PerronPreconditionError(CheckFailed):
@@ -179,16 +182,6 @@ def verify_block_structure(m: IntMatrix, split: int) -> bool:
     return True
 
 
-def _symmetric_square(a: IntMatrix) -> IntMatrix:
-    """Sym^2 A on the basis e_i e_j (i <= j); its eigenvalues are a_i a_j for i <= j."""
-    r = a.rows
-    pairs = [(i, j) for i in range(a.n) for j in range(i, a.n)]
-    return IntMatrix(
-        [r[k][i] * r[l][j] + (r[l][i] * r[k][j] if k != l else 0) for i, j in pairs]
-        for k, l in pairs
-    )
-
-
 def spectral_radius(
     a: IntMatrix, tol: Fraction = DEFAULT_TOL, chi: IntPolynomial | None = None
 ) -> RootEnclosure:
@@ -197,13 +190,18 @@ def spectral_radius(
     For nonnegative A this is Perron-Frobenius: rho(A) is itself an
     eigenvalue, so it is the largest real root of chi.  For a matrix with a
     negative entry the claim is checked exactly, and the call errors when it
-    fails.  Every |a|^2 = a * conj(a) is an eigenvalue of Sym^2 A, so
-    rho(A)^2 is the largest real root of chi(Sym^2 A), and the square of the
-    largest real root lambda of chi is a root too: the enclosure of lambda
-    is refined until its square isolates lambda^2, and a Sturm count above
-    it decides.  A caller that already holds ``chi = char_poly(a)`` passes
-    it in.
+    fails.  Every |a|^2 = a * conj(a) is a root of chi(Sym^2 A), whose roots
+    are the pairwise products a_i a_j (i <= j), so its power sums are
+    (s_k^2 + s_2k)/2 in the power sums s_k of chi and Newton's identities
+    build it from chi.  rho(A)^2 is its largest real root, and the square of
+    the largest real root lambda of chi is a root too: the enclosure of
+    lambda is refined until its square isolates lambda^2, and a Sturm count
+    above it decides.  A signed A above ``SIGNED_GATE_CAP`` raises
+    InputError first.  A caller that holds ``chi = char_poly(a)`` passes it.
     """
+    signed = not a.is_nonnegative()
+    if signed and a.n > SIGNED_GATE_CAP:
+        raise InputError(f"n = {a.n} exceeds the signed-matrix gate cap {SIGNED_GATE_CAP}")
     if chi is None:
         chi = char_poly(a)
     try:
@@ -212,8 +210,9 @@ def spectral_radius(
         raise PerronPreconditionError(
             "no positive real eigenvalue; spectral radius is not a real root"
         ) from exc
-    if not a.is_nonnegative():
-        square = char_poly(_symmetric_square(a))
+    if signed:
+        s = power_sums(chi, a.n * (a.n + 1))  # s_1..s_2N, N = n(n+1)/2
+        square = from_power_sums([(s[k] ** 2 + s[2 * k + 1]) // 2 for k in range(len(s) // 2)])
         e = enclosure  # lambda lies in (lo, hi] with lo >= 0, so lambda^2 in (lo^2, hi^2]
         while real_roots_in_interval(square, e.lo**2, e.hi**2) != 1:
             e = e.refined(e.width / 256)

@@ -4,9 +4,9 @@ A polynomial is a dense tuple of arbitrary-precision integer coefficients,
 constant term first, trailing zeros trimmed.  All arithmetic is exact:
 addition, multiplication, division over the rationals (returned with an
 integer denominator so no information is lost), gcd via the primitive
-polynomial remainder sequence, and cyclotomic polynomials by dividing
-t^m - 1 by the Phi_d of the proper divisors d of m.  Nothing in this module
-touches floating point.
+polynomial remainder sequence, Newton's identities between coefficients and
+root power sums, and cyclotomic polynomials by dividing t^m - 1 by the Phi_d
+of the proper divisors d of m.  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -344,6 +344,32 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     for a in remainder_sequence(a, b):
         pass
     return a if a.lead > 0 else -a
+
+
+def power_sums(p: IntPolynomial, k: int) -> list[int]:
+    """s_1..s_k, the power sums of the roots of monic p, by Newton's identities."""
+    if not p.is_monic():
+        raise ValueError("power sums need a monic polynomial")
+    a = p.coeffs[::-1]  # a[i] is the coefficient of t^(deg p - i)
+    s: list[int] = []
+    for j in range(1, k + 1):
+        term = j * a[j] if j < len(a) else 0
+        s.append(-term - sum(a[i] * s[j - 1 - i] for i in range(1, min(j, len(a)))))
+    return s
+
+
+def from_power_sums(s: list[int]) -> IntPolynomial:
+    """The monic polynomial of degree len(s) whose roots have the power sums s.
+
+    Raises InexactDivisionError when s gives a coefficient that is not an integer.
+    """
+    a = [1]
+    for j in range(1, len(s) + 1):
+        q, r = divmod(-sum(a[i] * s[j - 1 - i] for i in range(j)), j)
+        if r:
+            raise InexactDivisionError(f"power sums give a non-integral coefficient a_{j}")
+        a.append(q)
+    return IntPolynomial(reversed(a))
 
 
 # -- cyclotomic polynomials ------------------------------------------

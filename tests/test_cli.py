@@ -5,6 +5,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -354,6 +355,10 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+# the companion of t^13 - 2t^12 + 1, which has a real root near 1.9998
+SIGNED_13 = [[int(j == i + 1) for j in range(13)] for i in range(12)] + [[-1] + [0] * 11 + [2]]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -366,8 +371,20 @@ def _limit_address_space():
             ["classify", "--poly", json.dumps({"coeffs": ["1"] * (STRIP_DEGREE_CAP + 2)})],
             f"degree {STRIP_DEGREE_CAP + 1} exceeds the cyclotomic strip cap {STRIP_DEGREE_CAP}",
         ),
+        (
+            ["matrix", "--matrix", json.dumps({"rows": SIGNED_13})],
+            "n = 13 exceeds the signed-matrix gate cap 12",
+        ),
     ],
-    ids=["sharpness-k", "sharpness-table", "scan-d", "scan-n-and-d", "scan-n", "classify-degree"],
+    ids=[
+        "sharpness-k",
+        "sharpness-table",
+        "scan-d",
+        "scan-n-and-d",
+        "scan-n",
+        "classify-degree",
+        "matrix-signed",
+    ],
 )
 def test_oversized_request_exits_2_before_allocating(argv, message):
     src = str(Path(stretchlab.cli.__file__).resolve().parent.parent)
@@ -594,6 +611,44 @@ def test_matrix_above_the_strip_cap_exits_2_before_its_char_poly(monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n = 4 exceeds the cyclotomic strip cap 3\n"
+
+
+def test_signed_matrix_above_the_gate_cap_exits_2_before_the_gate(monkeypatch, capsys):
+    monkeypatch.setattr(stretchlab.matrices, "SIGNED_GATE_CAP", 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate ran past its cap")
+
+    monkeypatch.setattr(stretchlab.matrices, "power_sums", refuse)
+    assert main(["matrix", "--matrix", '{"rows":[[2,0,0],[0,0,-4],[0,1,0]]}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n = 3 exceeds the signed-matrix gate cap 2\n"
+    # a nonnegative matrix never reaches the gate, so the cap does not apply
+    code, out = run_cli(capsys, "matrix", "--matrix", '{"rows":[[0,1,0],[0,0,1],[1,1,0]]}')
+    assert code == 0
+    assert json.loads(out)["spectral_radius"]["decimal"] == "1.324717957"
+
+
+def signed_golden_matrices() -> list[list[list[int]]]:
+    rng = random.Random(24)
+    return [
+        [[1, 0, 0], [0, 0, -4], [0, 1, 0]],  # a complex pair of modulus 2 > 1: refused
+        [[2, 0, 0], [0, 0, -4], [0, 1, 0]],  # a complex pair of modulus exactly 2: passes
+        [[-2, 0], [0, 1]],
+        [[3, -1], [1, 1]],
+        [[0, -1], [1, 0]],
+        *([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for n in (6, 8)),
+    ]
+
+
+def test_signed_matrix_reports_match_their_golden_bytes(capsys):
+    outs = []
+    for rows in signed_golden_matrices():
+        code, out = run_cli(capsys, "matrix", "--matrix", json.dumps({"rows": rows}))
+        assert code == 0
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "matrix_signed.txt").read_text()
 
 
 def test_traintrack_reports_match_their_golden_bytes(tmp_path, capsys):

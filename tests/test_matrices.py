@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from matrix_reference import symmetric_square
 from stretchlab import matrices
 from stretchlab.matrices import (
     IntMatrix,
@@ -100,13 +101,13 @@ def test_spectral_radius_perron_errors():
 
 
 def test_exact_gate_runs_only_for_signed_matrices(monkeypatch):
-    square = matrices._symmetric_square
+    sums = matrices.power_sums
     gated = []
-    monkeypatch.setattr(matrices, "_symmetric_square", lambda a: gated.append(a) or square(a))
+    monkeypatch.setattr(matrices, "power_sums", lambda p, k: gated.append(p) or sums(p, k))
     signed = IntMatrix([[1, 0, 0], [0, 0, -4], [0, 1, 0]])
     with pytest.raises(PerronPreconditionError):
         spectral_radius(signed)
-    assert gated == [signed]
+    assert gated == [char_poly(signed)]
     # nonnegative, not strongly connected, a Jordan block at eigenvalue 1:
     # Perron-Frobenius alone certifies rho = 2, without the gate
     reducible = IntMatrix([[2, 1, 0], [0, 1, 1], [0, 0, 1]])
@@ -116,7 +117,41 @@ def test_exact_gate_runs_only_for_signed_matrices(monkeypatch):
         "hi": "8796093022209/2^42",
         "decimal": "2",
     }
-    assert gated == [signed]
+    assert gated == [char_poly(signed)]
+
+
+class _GatePolynomial(Exception):
+    pass
+
+
+def gate_polynomial(a: IntMatrix, monkeypatch) -> IntPolynomial:
+    """The polynomial the gate builds for a signed a, caught before its Sturm counts."""
+    build = matrices.from_power_sums
+
+    def catch(sums):
+        raise _GatePolynomial(build(sums))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "from_power_sums", catch)
+        with pytest.raises(_GatePolynomial) as built:
+            spectral_radius(a)
+    return built.value.args[0]
+
+
+def test_gate_polynomial_is_the_char_poly_of_the_symmetric_square(monkeypatch):
+    rng = random.Random(24)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(1, 8)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if a.is_nonnegative():
+            continue
+        try:
+            largest_real_root(char_poly(a))
+        except NoRealRootError:
+            continue  # refused before the gate
+        assert gate_polynomial(a, monkeypatch) == char_poly(symmetric_square(a)), a.rows
+        checked += 1
 
 
 def refused(a: IntMatrix) -> bool:
@@ -133,11 +168,12 @@ def numeric_gate_refuses(a: IntMatrix) -> bool:
     return float(moduli.max()) > float(largest_real_root(char_poly(a)).hi) + 1e-9
 
 
-def test_symmetric_square_eigenvalues_are_the_pairwise_products():
-    a = IntMatrix([[1, 2, -1], [0, -3, 1], [2, 1, 1]])
+def test_symmetric_square_eigenvalues_are_the_pairwise_products(monkeypatch):
+    # a real eigenvalue 3.716 and a complex pair, so the gate runs
+    a = IntMatrix([[1, 2, -1], [0, 3, 1], [2, 1, 1]])
     alphas = np.linalg.eigvals(np.array(a.rows, dtype=float))
     products = [alphas[i] * alphas[j] for i in range(3) for j in range(i, 3)]
-    ours = np.linalg.eigvals(np.array(matrices._symmetric_square(a).rows, dtype=float))
+    ours = np.roots([float(c) for c in reversed(gate_polynomial(a, monkeypatch).coeffs)])
     assert np.allclose(np.sort_complex(ours), np.sort_complex(np.array(products)))
 
 

@@ -15,13 +15,16 @@ from stretchlab.poly import (
     cyclotomic_indices_up_to_degree,
     divrem,
     exact_div,
+    from_power_sums,
     int_from_json,
     one,
     poly_from_json,
     poly_gcd,
     poly_to_json,
+    power_sums,
     pseudo_rem,
 )
+from stretchlab.matrices import companion
 from stretchlab.roots import sturm_chain
 
 P = IntPolynomial
@@ -103,6 +106,42 @@ def test_exact_div_raises_with_remainder():
     with pytest.raises(InexactDivisionError) as err:
         exact_div(P((1, 1, 1)), P((1, 1)))
     assert err.value.remainder is not None
+
+
+def _random_monic(rng: random.Random, degree: int) -> IntPolynomial:
+    return P([rng.randint(-5, 5) for _ in range(degree)] + [1])
+
+
+def test_power_sums_are_the_traces_of_companion_powers():
+    # the roots of p are the eigenvalues of its companion matrix C, so
+    # s_j = tr(C^j), exactly; 2 deg p reaches past the identities' first regime
+    rng = random.Random(24)
+    for _ in range(60):
+        p = _random_monic(rng, rng.randint(1, 7))
+        c = companion(p)
+        traces = [sum(c.power(j).rows[i][i] for i in range(c.n)) for j in range(1, 2 * c.n + 1)]
+        assert power_sums(p, 2 * p.degree()) == traces, p
+
+
+def test_from_power_sums_inverts_power_sums():
+    rng = random.Random(25)
+    for _ in range(200):
+        p = _random_monic(rng, rng.randint(0, 10))
+        assert from_power_sums(power_sums(p, p.degree())) == p
+    assert power_sums(P((-2, 1)), 4) == [2, 4, 8, 16]  # the root 2
+    assert power_sums(P((1, 0, 1)), 4) == [0, -2, 0, 2]  # the roots +-i
+
+
+def test_power_sum_bridge_edge_cases():
+    assert from_power_sums([]) == one()
+    assert power_sums(one(), 3) == [0, 0, 0]
+    for bad in (P((1, 2)), P(()), P((1, 1, -1))):
+        with pytest.raises(ValueError):
+            power_sums(bad, 2)
+    # s_1 = 1, s_2 = 0 needs a_2 = (1 - 0) / 2: not an integer
+    for sums in ([1, 0], [0, 0, 1], [3, 2]):
+        with pytest.raises(InexactDivisionError):
+            from_power_sums(sums)
 
 
 def test_cyclotomic_small():
