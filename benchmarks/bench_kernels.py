@@ -38,6 +38,10 @@ median of several runs.
 They inherit the environment, so ``PYTHONDONTWRITEBYTECODE=1`` makes every
 run compile the sources it imports, as each operation of ``perfbench`` does.
 
+The char poly rows time general shapes (neither upper Hessenberg nor its
+transpose) at 5x5, 8x8 and 30x30, where ``charpoly`` folds the bordering
+step over the leading principal submatrices.
+
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--startup-only]
 """
 
@@ -111,6 +115,11 @@ def pairwise_product_poly(chi):
     return from_power_sums([(s[k] ** 2 + s[2 * k + 1]) // 2 for k in range(len(s) // 2)])
 
 
+def squares(rng, n: int, count: int):
+    """``count`` random n x n matrices over -3..3: general shapes, not Hessenberg."""
+    return [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(count)]
+
+
 def startup_rows(runs: int) -> None:
     """Median wall time of fresh interpreters, bare and with one small query each."""
     env = dict(os.environ, PYTHONPATH=str(Path(stretchlab.__file__).resolve().parent.parent))
@@ -152,9 +161,14 @@ def main():
 
     rng = random.Random(2024)
     n_mats = 300 if args.quick else 2000
-    charpoly_mats = [
-        [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)] for _ in range(n_mats)
-    ]
+    # general shapes, so charpoly folds the bordering step; the larger ones
+    # draw from their own generator, so the other rows keep their inputs
+    big = random.Random(2027)
+    charpoly_mats = {
+        5: squares(rng, 5, n_mats),
+        8: squares(big, 8, n_mats * 3 // 20),
+        30: squares(big, 30, 1 if args.quick else 3),
+    }
     clique_mats = [
         [[rng.randint(0, 2) for _ in range(4)] for _ in range(4)]
         for _ in range(n_mats // 2)
@@ -168,7 +182,10 @@ def main():
     sharpness_mats = [build_matrix(k).rows for k in sharpness_ks]
 
     kernels = [
-        (f"charpoly 5x5 x{n_mats}", lambda: [_kernels.charpoly(r) for r in charpoly_mats]),
+        *(
+            (f"charpoly {n}x{n} x{len(m)}", lambda m=m: list(map(_kernels.charpoly, m)))
+            for n, m in charpoly_mats.items()
+        ),
         (
             f"clique identity 4x4 x{len(clique_mats)}",
             lambda: [verify_clique_identity(m) for m in clique_matrices],

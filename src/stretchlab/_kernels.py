@@ -3,22 +3,36 @@ form and digraph structure.
 
 ``matrices`` takes its char poly, determinant and primitivity from here, and
 ``traintrack`` its weight spaces, Gram kernels and ranks from ``echelon``.
-The exhaustive search calls ``charpoly`` once per parent matrix and
-``digraph_structure`` on the extensions that pass ``|det| = 1`` and
-canonicity.  All functions take plain nested sequences of Python ints and
-return plain ints, lists and tuples.  Everything is exact.
+Every char poly of a general shape, and every one the exhaustive search
+makes, comes from one bordering step (Samuelson):
+chi_A = (t - d) chi_B - r adj(tI - B) c for A = [[B, c], [r, d]].
+``charpoly`` folds it over the leading principal submatrices unless the
+shape is (transposed) upper Hessenberg.  The search factors each parent B
+once with ``charpoly`` and ``adjugate_rows`` and borders it with
+``bordered_charpoly`` on the extensions that pass ``|det| = 1``, canonicity
+and ``digraph_structure``.  All functions take plain nested sequences of
+Python ints and return plain ints, lists and tuples.  Everything is exact.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import mul
 
 #: Read by the benchmark's start-up probe; pure Python is the only backend.
 BACKEND = "pure"
 
 #: The public kernels; the benchmark's per-layer tracer wraps the names listed here.
-__all__ = ["BACKEND", "charpoly", "determinant", "digraph_structure", "echelon"]
+__all__ = [
+    "BACKEND",
+    "adjugate_rows",
+    "bordered_charpoly",
+    "charpoly",
+    "determinant",
+    "digraph_structure",
+    "echelon",
+]
 
 
 # -- characteristic polynomial ----------------------------------------
@@ -62,28 +76,41 @@ def _charpoly_hessenberg(rows, n: int) -> tuple[int, ...]:
     return tuple(polys[n])
 
 
-def _charpoly_berkowitz(rows, n: int) -> tuple[int, ...]:
-    # Division-free Berkowitz; vec holds descending coefficients.
-    vec = [1, -rows[0][0]]
-    for size in range(2, n + 1):
-        i = size - 1
-        row = rows[i]
-        col = [rows[r][i] for r in range(i)]
-        items = [1, -rows[i][i], -sum(row[j] * col[j] for j in range(i))]
-        v = col
-        for _ in range(size - 2):
-            v = [sum(rows[r][c] * v[c] for c in range(i)) for r in range(i)]
-            items.append(-sum(row[j] * v[j] for j in range(i)))
-        new = [0] * (size + 1)
-        for j in range(size + 1):
-            acc = 0
-            for k in range(max(0, j - size + 1), min(j, size) + 1):
-                it = items[k]
-                if it:
-                    acc += it * vec[j - k]
-            new[j] = acc
-        vec = new
-    return tuple(reversed(vec))
+def adjugate_rows(cols, p, r) -> list[list[int]]:
+    """[r N_0, ..., r N_(m-1)], where adj(tI - B) = sum_k t^k N_k and p = charpoly(B).
+
+    B is given by its m columns.  The N_k are polynomials in B, so they
+    commute with it: r N_(m-1) = r and r N_(k-1) = (r N_k) B + p_k r, exact
+    over Z for singular B too, and no m x m matrix is formed.  A 0 x 0 B
+    has the one row [], so that r N_0 c = 0.
+    """
+    row = list(r)
+    rows = [row]
+    for k in range(len(cols) - 1, 0, -1):
+        row = [sum(map(mul, row, col)) + p[k] * x for col, x in zip(cols, r)]
+        rows.append(row)
+    return rows[::-1]
+
+
+def bordered_charpoly(p, u, c, d) -> tuple[int, ...]:
+    """chi of [[B, c], [r, d]] from p = charpoly(B) and u = [r N_k for each k]
+    (``adjugate_rows``): (t - d) p(t) - sum_k t^k (r N_k c)."""
+    chi = [0, *p]
+    for k, a in enumerate(p):
+        chi[k] -= d * a
+    for k, uk in enumerate(u):
+        chi[k] -= sum(map(mul, uk, c))
+    return tuple(chi)
+
+
+def _charpoly_bordered(rows, n: int) -> tuple[int, ...]:
+    # fold the bordering step over the leading principal submatrices
+    cols = list(zip(*rows))
+    p: tuple[int, ...] = (1,)
+    for i in range(n):
+        lead = [col[:i] for col in cols[:i]]
+        p = bordered_charpoly(p, adjugate_rows(lead, p, rows[i][:i]), cols[i][:i], rows[i][i])
+    return p
 
 
 def charpoly(rows) -> tuple[int, ...]:
@@ -96,7 +123,7 @@ def charpoly(rows) -> tuple[int, ...]:
     transposed = list(zip(*rows))
     if _is_upper_hessenberg(transposed, n):
         return _charpoly_hessenberg(transposed, n)
-    return _charpoly_berkowitz(rows, n)
+    return _charpoly_bordered(rows, n)
 
 
 def echelon(rows) -> tuple[list[list[int]], list[int], int]:

@@ -125,7 +125,7 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     return cyclo, core
 
 
-def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial, parity: bool | None = None) -> bool:
+def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial) -> bool:
     """Whether p = (product of cyclotomics) x (skew-reciprocal polynomial).
 
     A root at 0 classifies as False.  A purely cyclotomic p counts as True
@@ -136,8 +136,7 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial, parity: bool | None = 
     of cyclotomics and S skew-reciprocal, and f* = t^deg f(1/t) for the
     reversal.  Then p* = C* S*, where C* = +-C (each Phi_m is palindromic
     up to sign) and S* = +-S(-t).  Modulo 2 both signs and t -> -t vanish,
-    so p* = p coefficientwise mod 2, which is parity_condition(p).  A
-    caller that already holds ``parity_condition(p)`` passes it as ``parity``.
+    so p* = p coefficientwise mod 2, which is parity_condition(p).
     """
     if p.is_zero():
         raise ValueError("classification of the zero polynomial")
@@ -147,7 +146,7 @@ def is_skew_reciprocal_up_to_cyclotomic(p: IntPolynomial, parity: bool | None = 
     # involution t -> -1/t permutes roots of unity among themselves.
     if is_skew_reciprocal(p) is not None:
         return True
-    if not (parity_condition(p) if parity is None else parity):
+    if not parity_condition(p):
         return False
     return _skew_core(strip_cyclotomic(p)[1])
 

@@ -121,7 +121,7 @@ def admissibility_report(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> Admis
     parity = parity_condition(p)
     prim = primitivity_compatible(p)
     # parity is necessary for skew up to cyclotomics (see that predicate)
-    skew = parity and is_skew_reciprocal_up_to_cyclotomic(p, parity)
+    skew = parity and is_skew_reciprocal_up_to_cyclotomic(p)
     verdict = qualify(p, p.degree(), tol, skew) if prim else None
     root, normalized, side = verdict or (None, None, None)
     return AdmissibilityReport(p, parity, prim, skew, root, normalized, side)

@@ -1,13 +1,13 @@
 """Exact integer matrices: characteristic polynomials, primitivity, GL_n(Z).
 
 The characteristic polynomial is division-free (Hessenberg recurrence when
-the shape allows, Berkowitz otherwise) and the determinant is fraction-free
-Bareiss, so no rational rounding can occur.  The spectral radius of a
-matrix with a negative entry is gated exactly too, through the polynomial
-of pairwise eigenvalue products built from chi's power sums, so nothing
-here touches floating point.  Primitivity is the graph criterion:
-nonnegative, strongly connected, cycle-length gcd one; the Wielandt power
-test is kept alongside as an independent oracle.
+the shape allows, Samuelson bordering over the leading principal
+submatrices otherwise) and the determinant is fraction-free Bareiss, so no
+rational rounding can occur.  The spectral radius of a matrix with a
+negative entry is gated exactly too, through the polynomial of pairwise
+eigenvalue products built from chi's power sums, so nothing here touches
+floating point.  Primitivity is the graph criterion: nonnegative, strongly
+connected, cycle-length gcd one.
 """
 
 from __future__ import annotations
@@ -146,13 +146,6 @@ def is_primitive(a: IntMatrix) -> PrimitivityReport:
     )
 
 
-def wielandt_positive(a: IntMatrix) -> bool:
-    """A^((n-1)^2 + 1) > 0, the classic primitivity oracle (nonnegative A)."""
-    if not a.is_nonnegative():
-        return False
-    return a.power((a.n - 1) ** 2 + 1).is_positive()
-
-
 def companion(p: IntPolynomial) -> IntMatrix:
     """Companion matrix with the coefficients in the last row."""
     if not p.is_monic():
@@ -196,8 +189,9 @@ def spectral_radius(
     build it from chi.  rho(A)^2 is its largest real root, and the square of
     the largest real root lambda of chi is a root too: the enclosure of
     lambda is refined until its square isolates lambda^2, and a Sturm count
-    above it decides.  A signed A above ``SIGNED_GATE_CAP`` raises
-    InputError first.  A caller that holds ``chi = char_poly(a)`` passes it.
+    above it decides; a count of 0 there is a bug and raises AssertionError.
+    A signed A above ``SIGNED_GATE_CAP`` raises InputError first.  A caller
+    that holds ``chi = char_poly(a)`` passes it.
     """
     signed = not a.is_nonnegative()
     if signed and a.n > SIGNED_GATE_CAP:
@@ -214,7 +208,9 @@ def spectral_radius(
         s = power_sums(chi, a.n * (a.n + 1))  # s_1..s_2N, N = n(n+1)/2
         square = from_power_sums([(s[k] ** 2 + s[2 * k + 1]) // 2 for k in range(len(s) // 2)])
         e = enclosure  # lambda lies in (lo, hi] with lo >= 0, so lambda^2 in (lo^2, hi^2]
-        while real_roots_in_interval(square, e.lo**2, e.hi**2) != 1:
+        while (count := real_roots_in_interval(square, e.lo**2, e.hi**2)) != 1:
+            if count == 0:
+                raise AssertionError("the gate polynomial lacks lambda^2 as a root; this is a bug")
             e = e.refined(e.width / 256)
         top = cauchy_root_bound(square)
         if e.hi**2 < top and real_roots_in_interval(square, e.hi**2, top) > 0:

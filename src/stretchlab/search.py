@@ -22,13 +22,14 @@ canonical k-codes are exactly the canonical extensions of the canonical
 the worker pool.
 
 The scan factors each parent B, an m x m matrix with m = n - 1, once.  With
-p = charpoly(B) and adj(tI - B) = sum_k t^k N_k (N_(m-1) = I,
-N_(k-1) = B N_k + p_k I), the extension A = [[B, c], [r, d]] has
-chi_A(t) = (t - d) p(t) - sum_k t^k (r N_k c) and
-det A = (-1)^n (-d p_0 - r N_0 c), exactly over Z, for singular B too.  So
-|det A| = 1 is a lookup in the parent's table of r N_0 c, and only the tails
-that pass it reach the canonicity test; the primitive ones among those get
-their char poly from the same identity.
+p = charpoly(B) and adj(tI - B) = sum_k t^k N_k, the extension
+A = [[B, c], [r, d]] has chi_A(t) = (t - d) p(t) - sum_k t^k (r N_k c) and
+det A = (-1)^n (-d p_0 - r N_0 c), exactly over Z, for singular B too.  The
+rows r N_k follow from r alone (r N_(m-1) = r, r N_(k-1) = (r N_k) B + p_k r,
+``_kernels.adjugate_rows``), once per r.  So |det A| = 1 is a lookup in the
+parent's table of r N_0 c, and only the tails that pass it reach the
+canonicity test; the primitive ones among those get their char poly from the
+same identity (``_kernels.bordered_charpoly``).
 
 Matrices that pass the filter are classified once per distinct
 characteristic polynomial.  An orbit is the set of row-major entry tuples of
@@ -46,7 +47,7 @@ from itertools import permutations, product
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from ._kernels import charpoly, digraph_structure
+from ._kernels import adjugate_rows, bordered_charpoly, charpoly, digraph_structure
 from .classify import classify, qualify
 from .errors import BudgetExceededError, InputError
 from .matrices import IntMatrix, char_poly, is_primitive
@@ -175,39 +176,6 @@ def code_rows(code: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return _rows(_symmetries(n)[1][0](code), n)
 
 
-def _adjugate_terms(b, p) -> list[list[list[int]]]:
-    """N_0, ..., N_(m-1) with adj(tI - B) = sum_k t^k N_k, for p = charpoly(B).
-
-    N_(m-1) = I and N_(k-1) = B N_k + p_k I (Faddeev-LeVerrier), exact over Z
-    for singular B too.  A 0 x 0 B has the one term [], so that r N_0 c = 0.
-    """
-    m = len(b)
-    term = [[int(i == j) for j in range(m)] for i in range(m)]
-    terms = [term]
-    for k in range(m - 1, 0, -1):
-        term = [_row_times(row, term) for row in b]
-        for i in range(m):
-            term[i][i] += p[k]
-        terms.append(term)
-    return terms[::-1]
-
-
-def _row_times(r, matrix) -> list[int]:
-    """The row vector r times ``matrix``."""
-    return [sum(map(mul, r, col)) for col in zip(*matrix)]
-
-
-def _bordered_charpoly(p, u, c, d) -> tuple[int, ...]:
-    """chi of [[B, c], [r, d]] from p = charpoly(B) and u = [r N_k for each k]:
-    (t - d) p(t) - sum_k t^k (r N_k c)."""
-    chi = [0, *p]
-    for k, a in enumerate(p):
-        chi[k] -= d * a
-    for k, uk in enumerate(u):
-        chi[k] -= sum(map(mul, uk, c))
-    return tuple(chi)
-
-
 @cache
 def _tails(m: int, base: int):
     """The new rows and columns r, c over 0..base-1, and every (r, c) part of
@@ -236,8 +204,8 @@ def scan_orbits(n: int, max_entry: int, parents) -> list[tuple[tuple[int, ...], 
     for parent in parents:
         b = code_rows(parent, m) if m else []  # _symmetries(0) has no getter
         p = charpoly(b)
-        terms = _adjugate_terms(b, p)
-        u = [[_row_times(r, term) for term in terms] for r in vectors]
+        cols = list(zip(*b))
+        u = [adjugate_rows(cols, p, r) for r in vectors]
         # det A = (-1)^n (-d p_0 - r N_0 c), so the tails of a given r N_0 c
         # have |det| = 1 exactly for the d with d p_0 + r N_0 c = +-1
         by_value: dict[int, list[int]] = {}
@@ -253,7 +221,7 @@ def scan_orbits(n: int, max_entry: int, parents) -> list[tuple[tuple[int, ...], 
                 c = vectors[ci]
                 rows = [(*row, x) for row, x in zip(b, c)] + [(*vectors[ri], d)]
                 if digraph_structure(rows) == (True, 1):
-                    out.append((code, _bordered_charpoly(p, u[ri], c, d)))
+                    out.append((code, bordered_charpoly(p, u[ri], c, d)))
     return out
 
 

@@ -17,6 +17,7 @@ from conftest import (
     random_reciprocal,
     random_skew_reciprocal,
 )
+from matrix_reference import wielandt_positive
 from stretchlab.classify import (
     classify,
     is_skew_reciprocal_up_to_cyclotomic,
@@ -32,7 +33,6 @@ from stretchlab.matrices import (
     determinant,
     is_primitive,
     normalized_spectral_radius,
-    wielandt_positive,
 )
 from stretchlab.poly import IntPolynomial
 from stretchlab.roots import (

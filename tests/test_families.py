@@ -8,7 +8,11 @@ from functools import cmp_to_key
 
 import pytest
 
-from stretchlab.classify import is_skew_reciprocal_up_to_cyclotomic, parity_condition
+from stretchlab.classify import (
+    is_skew_reciprocal,
+    is_skew_reciprocal_up_to_cyclotomic,
+    parity_condition,
+)
 from stretchlab.cli import main
 from stretchlab.families import (
     ALL_FORMS,
@@ -180,10 +184,15 @@ def test_reports_built_only_for_parity_survivors(monkeypatch, capsys):
     assert main(["family", "--n", "16"]) == 0
     capsys.readouterr()
     monkeypatch.undo()
-    # parity runs once on each of the 5,028 distinct candidates, and once
-    # more inside the report of each of the 326 that pass it
+    # parity runs once on each of the 5,028 distinct candidates, once more
+    # inside the report of each of the 326 that pass it, and once in the skew
+    # predicate of each report whose polynomial is not skew-reciprocal itself
     assert len(reports) == 326
-    before_reports = Counter(parity_calls) - Counter(r.polynomial.coeffs for r in reports)
+    in_reports = Counter()
+    for r in reports:
+        p = r.polynomial
+        in_reports[p.coeffs] += 1 + (p.constant_term() != 0 and is_skew_reciprocal(p) is None)
+    before_reports = Counter(parity_calls) - in_reports
     assert len(before_reports) == 5028 and set(before_reports.values()) == {1}
     for r in reports:
         p = r.polynomial

@@ -8,13 +8,14 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from matrix_reference import wielandt_positive
 from search_reference import primitive_unit_det_charpoly
 
 from stretchlab import _kernels
 from stretchlab._kernels import BACKEND
 from stretchlab.curvegraph import _clique_coefficients, cycle_classes
 from stretchlab.errors import CapExceeded
-from stretchlab.matrices import IntMatrix, determinant, wielandt_positive
+from stretchlab.matrices import IntMatrix, determinant
 from stretchlab.sharpness import build_matrix, expected_char_poly
 from stretchlab.traintrack import _kernel
 
@@ -36,6 +37,8 @@ def test_star_import_exports_exactly_the_shared_kernels():
     del namespace["__builtins__"]
     assert sorted(_kernels.__all__) == [
         "BACKEND",
+        "adjugate_rows",
+        "bordered_charpoly",
         "charpoly",
         "determinant",
         "digraph_structure",
@@ -131,18 +134,52 @@ def _random_upper_hessenberg(rng, n):
     return rows
 
 
-def test_nonzero_only_hessenberg_recurrence_matches_berkowitz():
+def test_nonzero_only_hessenberg_recurrence_matches_bordering():
     rng = random.Random(12)
     for n in range(1, 13):
         for _ in range(25):
             rows = _random_upper_hessenberg(rng, n)
-            expected = _kernels._charpoly_berkowitz(rows, n)
+            expected = _kernels._charpoly_bordered(rows, n)
             assert _kernels._charpoly_hessenberg(rows, n) == expected, rows
             assert _kernels.charpoly(rows) == expected, rows
             # the transpose is lower Hessenberg, with the same char poly
             transposed = [list(col) for col in zip(*rows)]
             assert _kernels.charpoly(transposed) == expected, rows
-            assert _kernels._charpoly_berkowitz(transposed, n) == expected, rows
+            assert _kernels._charpoly_bordered(transposed, n) == expected, rows
+
+
+@st.composite
+def general_matrices(draw):
+    """n x n for n = 1..6, neither shape Hessenberg for n >= 3, with entries
+    up to 2^70 in size and zero and repeated rows mixed in."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 3:
+        # a nonzero corner below and above the subdiagonal band
+        rows[n - 1][0] = draw(st.integers(1, 2**70))
+        rows[0][n - 1] = draw(st.integers(1, 2**70))
+    if n >= 2:
+        kind = draw(st.sampled_from(["any", "zero row", "repeated row"]))
+        i = draw(st.integers(1, max(1, n - 2)))  # the corner rows stay
+        if kind == "zero row":
+            rows[i] = [0] * n
+        elif kind == "repeated row":
+            rows[i] = list(rows[i - 1])
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(general_matrices())
+def test_general_charpoly_matches_sympy_with_large_entries(rows):
+    n = len(rows)
+    if n >= 3:
+        assert not _kernels._is_upper_hessenberg(rows, n)
+        assert not _kernels._is_upper_hessenberg(list(zip(*rows)), n)
+    chi = _kernels.charpoly(rows)
+    assert chi == _kernels._charpoly_bordered(rows, n)
+    theirs = sympy.Matrix(rows).charpoly().all_coeffs()
+    assert list(chi) == [int(c) for c in reversed(theirs)]
 
 
 def test_charpoly_of_the_sharpness_family():

@@ -1,12 +1,17 @@
 """Integer-matrix operations against spec examples and independent oracles."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
-from matrix_reference import symmetric_square
+from matrix_reference import symmetric_square, wielandt_positive
 from stretchlab import matrices
 from stretchlab.matrices import (
     IntMatrix,
@@ -22,7 +27,6 @@ from stretchlab.matrices import (
     normalized_spectral_radius,
     spectral_radius,
     verify_block_structure,
-    wielandt_positive,
 )
 from stretchlab.poly import IntPolynomial
 from stretchlab.roots import NoRealRootError, largest_real_root
@@ -201,6 +205,39 @@ def test_exact_gate_agrees_with_numeric_eigenvalues():
             continue
         assert refused(a) == numeric_gate_refuses(a), a.rows
         checked += 1
+
+
+#: lambda = 1 and a complex pair +-2i, so the gate runs.
+SIGNED_ROWS = [[1, 0, 0], [0, 0, -4], [0, 1, 0]]
+#: Patches the gate with the pairwise products a_i a_j for i < j only,
+#: (s_k^2 - s_2k)/2 = s_k^2 - sums[k]: roots 4 and +-2i, so lambda^2 = 1 is missing.
+WRONG_GATE = f"""
+from stretchlab import matrices
+from stretchlab.poly import power_sums
+
+build = matrices.from_power_sums
+s = power_sums(matrices.char_poly(matrices.IntMatrix({SIGNED_ROWS})), 12)
+matrices.from_power_sums = lambda sums: build([s[k] ** 2 - q for k, q in enumerate(sums)])
+"""
+
+
+def test_a_gate_polynomial_without_lambda_squared_is_an_internal_error(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "from_power_sums", matrices.from_power_sums)  # restored after
+        exec(WRONG_GATE, {})
+        with pytest.raises(AssertionError, match="lacks lambda"):
+            spectral_radius(IntMatrix(SIGNED_ROWS))
+    # a bug (4), not "undecided" (3) or a refused precondition (1), and within seconds
+    code = WRONG_GATE + f"""
+from stretchlab.cli import main
+raise SystemExit(main(["matrix", "--matrix", {json.dumps({"rows": SIGNED_ROWS})!r}]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(matrices.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 4, done.stderr
+    assert "AssertionError: the gate polynomial lacks lambda^2" in done.stderr
 
 
 def test_companion_examples_and_roundtrip():

@@ -67,7 +67,7 @@ def test_digraph_structure_against_networkx():
         assert period == cycle_gcd, rows
 
 
-def test_charpoly_hessenberg_shapes_match_berkowitz():
+def test_charpoly_hessenberg_shapes_match_bordering():
     rng = random.Random(88)
     for _ in range(60):
         n = rng.randint(2, 7)
@@ -76,8 +76,7 @@ def test_charpoly_hessenberg_shapes_match_berkowitz():
             for i in range(n)
         ]
         hess = _kernels._charpoly_hessenberg(rows, n)
-        berk = _kernels._charpoly_berkowitz(rows, n)
-        assert hess == berk
+        assert hess == _kernels._charpoly_bordered(rows, n)
         theirs = sympy.Matrix(rows).charpoly()
         assert list(hess) == [int(c) for c in reversed(theirs.all_coeffs())]
 

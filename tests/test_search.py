@@ -143,8 +143,15 @@ def test_bordering_identities_give_the_char_poly_and_det(case):
     n = len(b) + 1
     a = [[*row, x] for row, x in zip(b, c)] + [[*r, d]]
     p = _kernels.charpoly(b)
-    u = [search._row_times(r, term) for term in search._adjugate_terms(b, p)]
-    assert search._bordered_charpoly(p, u, c, d) == _kernels.charpoly(a)
+    u = _kernels.adjugate_rows(list(zip(*b)), p, r)
+    assert len(u) == max(len(b), 1)
+    chi = _kernels.bordered_charpoly(p, u, c, d)
+    assert chi == _kernels.charpoly(a)
+    # charpoly borders too, so check chi(t) = det(tI - A) by Bareiss at n
+    # points, which fixes a monic chi of degree n
+    for t in range(n):
+        t_minus_a = [[t * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        assert sum(x * t**k for k, x in enumerate(chi)) == _kernels.determinant(t_minus_a)
     # the scan's |det| table holds r N_0 c
     r_n0_c = sum(x * y for x, y in zip(u[0], c))
     assert (-1) ** n * (-d * p[0] - r_n0_c) == _kernels.determinant(a)
