@@ -31,6 +31,15 @@ the weight space, the Gram matrix B F B^T and its kernel.  Their weight-space
 and radical dimensions are asserted against sympy ranks, with the skew form
 summed from its definition.  Each row's results are asserted equal.
 
+The comparator rows time ``compare_power_to_silver_squared`` (the signs of
+t^(2e) - 6t^e + 1 at the ends of the enclosure) and the reference interval
+comparator (powers of the enclosure against an enclosure of 3 + 2*sqrt(2))
+on the sharpness roots at e = 2k = 100, 400 and 800, best of five; their
+sides are asserted equal.  The curve-graph row times ``curve_graph_report``
+on the 4 x 4 matrix of 4s (2,160 curves), whose edges come from class
+pairs, and the same report with the edges listed from the pairwise
+definition; the reports are asserted equal.
+
 The start-up rows time fresh interpreters: a bare ``python -c pass``,
 ``import stretchlab.cli``, one small ``classify``, ``matrix``,
 ``curve-graph`` and ``traintrack`` query and ``repro set-theorem``, each the
@@ -64,7 +73,12 @@ import sympy
 import stretchlab
 from stretchlab import _kernels, cli
 from stretchlab.classify import parity_condition, strip_cyclotomic
-from stretchlab.curvegraph import cycle_classes, verify_clique_identity
+from stretchlab.curvegraph import (
+    CurveGraph,
+    curve_graph_report,
+    cycle_classes,
+    verify_clique_identity,
+)
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
 from stretchlab.matrices import IntMatrix, char_poly
 from stretchlab.poly import (
@@ -73,7 +87,7 @@ from stretchlab.poly import (
     from_power_sums,
     power_sums,
 )
-from stretchlab.roots import largest_real_root, sturm_chain
+from stretchlab.roots import compare_power_to_silver_squared, largest_real_root, sturm_chain
 from stretchlab.search import SearchConfig, canonical_codes, run_search, scan_orbits
 from stretchlab.sharpness import build_matrix, expected_char_poly
 from stretchlab.traintrack import switch_matrix, track_report, track_to_json
@@ -82,7 +96,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import poly_reference  # noqa: E402
 from conftest import bigon_track, polygon_track  # noqa: E402
 from cyclotomic_reference import moebius_cyclotomic, strip_by_trial_division  # noqa: E402
-from matrix_reference import symmetric_square  # noqa: E402
+from matrix_reference import pairwise_edges, symmetric_square  # noqa: E402
 from search_reference import brute_force_search, reference_scan_orbits  # noqa: E402
 
 
@@ -107,6 +121,15 @@ def sympy_track_dims(track) -> tuple[int, int]:
         [[sum(u[i] * v[j] - u[j] * v[i] for i, j in pairs) for v in basis] for u in basis]
     )
     return len(basis), len(basis) - gram.rank()
+
+
+def best_of(runs: int, fn):
+    """The least time of ``runs`` calls, and the last result."""
+    times, out = [], None
+    for _ in range(runs):
+        t, out = timed(fn)
+        times.append(t)
+    return min(times), out
 
 
 def pairwise_product_poly(chi):
@@ -288,6 +311,29 @@ def main():
         t_ref, reference = timed(lambda: [poly_reference.largest_real_root(p) for p in polys])
         assert [(e.lo, e.hi, e.polynomial) for e in lib] == reference, name
         print(f"{name:<38} {t_lib:>9.3f}s {t_ref:>9.3f}s {t_ref / t_lib:>8.1f}x")
+
+    print(f"\n{'lambda^e against sigma^2':<38} {'signs':>10} {'interval':>10} {'ratio':>9}")
+    for e in (100, 400, 800):
+        root = largest_real_root(expected_char_poly(e // 2))
+        t_signs, side = best_of(5, lambda: compare_power_to_silver_squared(root, e))
+        reference = poly_reference.compare_power_to_silver_squared
+        t_ref, expected = best_of(5, lambda: reference(root, e))
+        assert side == expected == 1, f"the comparators differ at e={e}"
+        name = f"sharpness root e={e}"
+        print(f"{name:<38} {t_signs * 1e3:>8.2f}ms {t_ref * 1e3:>8.2f}ms {t_ref / t_signs:>8.1f}x")
+
+    print(f"\n{'curve_graph_report':<38} {'classes':>10} {'pairwise':>10} {'ratio':>9}")
+    fours = IntMatrix([[4] * 4] * 4)
+    t_classes, report = timed(lambda: curve_graph_report(fours))
+    by_class = CurveGraph.edges
+    CurveGraph.edges = pairwise_edges
+    try:
+        t_pairs, reference = timed(lambda: curve_graph_report(fours))
+    finally:
+        CurveGraph.edges = by_class
+    assert report == reference, "class-pair edges differ from the pairwise definition"
+    name = f"4x4 of 4s ({len(report['cycles'])} curves)"
+    print(f"{name:<38} {t_classes:>9.3f}s {t_pairs:>9.3f}s {t_pairs / t_classes:>8.1f}x")
 
     print(f"\n{'track_report':<38} {'time':>10} {'weights':>8} {'radical':>8}")
     for n in (10, 20) if args.quick else (10, 20, 30):

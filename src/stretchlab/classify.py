@@ -168,10 +168,13 @@ def qualify(
     chi: IntPolynomial, n: int, tol: Fraction = DEFAULT_TOL, skew: bool | None = None
 ) -> Qualification | None:
     """The verdict on chi normalized by n, or None unless chi is skew up to
-    cyclotomics with a real root above 1; the side is exact at any ``tol``.
+    cyclotomics with a real root above 1.
 
-    A caller that already holds ``is_skew_reciprocal_up_to_cyclotomic(chi)``
-    passes it as ``skew``.
+    The side is exact at any ``tol``: ``compare_power_to_silver_squared``
+    reads it from the signs of t^(2n) - 6t^n + 1 at the ends of lambda's
+    enclosure, and ``tol`` sets only the width of the reported lambda and
+    lambda^n.  A caller that already holds
+    ``is_skew_reciprocal_up_to_cyclotomic(chi)`` passes it as ``skew``.
     """
     if not (is_skew_reciprocal_up_to_cyclotomic(chi) if skew is None else skew):
         return None

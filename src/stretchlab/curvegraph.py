@@ -48,10 +48,6 @@ class SimpleCycle(NamedTuple):
     def weight(self) -> int:
         return len(self.vertices)
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
 
 class CurveGraph(NamedTuple):
     """Weighted graph of simple closed curves, adjacency = vertex-disjointness."""
@@ -61,16 +57,30 @@ class CurveGraph(NamedTuple):
     # (vertex mask, canonical rotation, multiplicity) per cycle class
     classes: tuple[tuple[int, tuple[int, ...], int], ...]
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return not (self.cycles[i].vertex_set & self.cycles[j].vertex_set)
-
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(len(self.cycles))
-            for j in range(i + 1, len(self.cycles))
-            if self.adjacent(i, j)
-        ]
+        """Pairs i < j of adjacent curves, in lexicographic order.
+
+        Each class lists its curves consecutively, and two curves are
+        adjacent iff their classes' vertex masks are disjoint, so the pairs
+        come from class pairs.  Their count, the sum of m_a * m_b over
+        disjoint class pairs, is checked against ``DEFAULT_CLIQUE_GUARD``
+        (an edge is a clique of two curves) before any pair is listed.
+        """
+        classes = self.classes
+        starts = list(itertools.accumulate((m for _, _, m in classes), initial=0))
+
+        def later(a: int) -> list[int]:
+            mask = classes[a][0]
+            return [b for b in range(a + 1, len(classes)) if not mask & classes[b][0]]
+
+        count = sum(m * sum(classes[b][2] for b in later(a)) for a, (_, _, m) in enumerate(classes))
+        if count > DEFAULT_CLIQUE_GUARD:
+            raise CapExceeded(f"{count} curve-graph edges exceed the guard {DEFAULT_CLIQUE_GUARD}")
+        pairs: list[tuple[int, int]] = []
+        for a in range(len(classes)):
+            targets = [j for b in later(a) for j in range(starts[b], starts[b + 1])]
+            pairs.extend((i, j) for i in range(starts[a], starts[a + 1]) for j in targets)
+        return pairs
 
     def weights(self) -> tuple[int, ...]:
         return tuple(c.weight for c in self.cycles)
@@ -213,8 +223,11 @@ class GraphShape(NamedTuple):
 
 
 def curve_graph_shape(g: CurveGraph) -> GraphShape:
+    return _shape(g, g.edges())
+
+
+def _shape(g: CurveGraph, edges: list[tuple[int, int]]) -> GraphShape:
     k = len(g.cycles)
-    edges = g.edges()
     if k >= 1 and not edges:
         return GraphShape(kind="nA1", weights=tuple(sorted(g.weights())))
     if k == 3 and len(edges) == 1:
@@ -230,7 +243,8 @@ def curve_graph_report(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> dict:
     g = curve_graph(a)
     q = clique_polynomial(g)
     chi = char_poly(a)
-    shape = curve_graph_shape(g)
+    edges = g.edges()
+    shape = _shape(g, edges)
     try:
         growth = _growth_rate(q, tol)
     except GrowthRateError:
@@ -242,7 +256,7 @@ def curve_graph_report(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> dict:
             for c in g.cycles
         ],
         "weights": list(g.weights()),
-        "edges": [list(e) for e in g.edges()],
+        "edges": [list(e) for e in edges],
         "clique_poly": [str(c) for c in q.coeffs],
         "char_poly": [str(c) for c in chi.coeffs],
         "growth_rate": growth.to_json() if growth else None,

@@ -62,42 +62,8 @@ class IntMatrix(Immutable):
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def is_nonnegative(self) -> bool:
         return min(map(min, self.rows)) >= 0
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        cols = other.transpose().rows
-        return IntMatrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
-
-    def power(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result = identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
-    def is_positive(self) -> bool:
-        return all(e > 0 for row in self.rows for e in row)
-
-
-def identity(n: int) -> IntMatrix:
-    return IntMatrix(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def matrix_to_json(a: IntMatrix) -> dict:

@@ -67,14 +67,21 @@ def salem_unit_circle_counts() -> dict:
     }
 
 
+def _within(root: RootEnclosure, n: int, target: str) -> bool:
+    """Whether root^n lies within 1/1000 of ``target``, read on both ends of
+    the power of an enclosure refined to width 2^-20, whatever ``--tol``."""
+    value = root.refined(Fraction(1, 2**20)).powered(n)
+    radius = Fraction(1, 1000)
+    return Fraction(target) - radius < value.lo and value.hi < Fraction(target) + radius
+
+
 def salem_normalized_values(tol: Fraction) -> dict:
-    lehmer9 = largest_real_root(LEHMER, tol).powered(9)
-    salem3 = largest_real_root(SALEM_4, tol).powered(3)
+    lehmer = largest_real_root(LEHMER, tol)
+    salem = largest_real_root(SALEM_4, tol)
     return {
         "check": "normalized values ~4.311 and ~5.107",
-        "values": [lehmer9.decimal(), salem3.decimal()],
-        "pass": abs(lehmer9.midpoint - Fraction("4.311")) < Fraction(1, 1000)
-        and abs(salem3.midpoint - Fraction("5.107")) < Fraction(1, 1000),
+        "values": [lehmer.powered(9).decimal(), salem.powered(3).decimal()],
+        "pass": _within(lehmer, 9, "4.311") and _within(salem, 3, "5.107"),
     }
 
 

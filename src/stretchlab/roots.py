@@ -6,8 +6,12 @@ parts at every step keep coefficient growth in check).  One run of
 from, both builds the chain and tests square-freeness, so the chain's
 first element is the square-free certificate that enclosures carry.
 Isolation and refinement use pure dyadic bisection, so every certificate is
-a finite integer computation.  Nothing in this module touches floating
-point except ``ValueInterval.__float__``, a convenience for callers.
+a finite integer computation.  Both exact comparators have one shape: signs
+at the enclosure ends decide an order, one gcd of certificates decides
+equality, and otherwise they refine, up to ``COMPARE_ROUNDS`` rounds.
+``compare_power_to_silver_squared`` reads the signs of t^(2e) - 6t^e + 1,
+so it needs no enclosure of the threshold.  Nothing in this module touches
+floating point except ``ValueInterval.__float__``, a convenience for callers.
 """
 
 from __future__ import annotations
@@ -31,12 +35,9 @@ MIN_TOL = Fraction(1, 2**256)
 #: t^2 - 6t + 1; its larger root is the squared silver ratio 3 + 2*sqrt(2).
 SILVER_SQUARED_POLY = IntPolynomial((1, -6, 1))
 
-#: Refinement cap of ``compare_enclosures``, and the width factor per round.
-COMPARE_ROUNDS = 10
+#: Refinement cap of both comparators, and the width factor per round.
+COMPARE_ROUNDS = 12
 COMPARE_SHRINK = Fraction(1, 256)
-
-#: Refinement cap of ``compare_power_to_silver_squared``.
-SILVER_COMPARE_ROUNDS = 12
 
 
 class NoRealRootError(CheckFailed):
@@ -301,89 +302,71 @@ def largest_root_above_one(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> Roo
     return largest_real_root(p, tol)
 
 
+def _common_root(p: IntPolynomial, q: IntPolynomial, lo: Fraction, hi: Fraction) -> bool:
+    """Whether p and q share a real root in (lo, hi]: a root of their gcd there."""
+    if not lo < hi:
+        return False
+    g = poly_gcd(p, q)
+    return g.degree() >= 1 and real_roots_in_interval(g, lo, hi) >= 1
+
+
 def compare_enclosures(e1: RootEnclosure, e2: RootEnclosure) -> int:
     """-1, 0, +1 ordering of the two enclosed roots, exactly.
 
-    Disjoint intervals decide the order; equality is certified by finding a
-    root of gcd of the two certificates inside the overlap.  Raises
-    SeparationError if neither resolves within the refinement cap.
+    Disjoint intervals decide the order.  Each enclosure isolates its root,
+    so the roots are equal iff the certificates share a root in the first
+    overlap; that gcd test runs once, and after it only refinement remains.
+    Raises SeparationError if the enclosures do not separate within the cap.
     """
     a, b = e1, e2
-    g = None  # refinement keeps the certificates, so their gcd is computed once
-    for _ in range(COMPARE_ROUNDS + 1):
+    for round_ in range(COMPARE_ROUNDS + 1):
         if a.hi < b.lo:
             return -1
         if b.hi < a.lo:
             return 1
-        if g is None:
-            g = poly_gcd(a.polynomial, b.polynomial)
-        if g.degree() >= 1:
-            lo = max(a.lo, b.lo)
-            hi = min(a.hi, b.hi)
-            if lo < hi and real_roots_in_interval(g, lo, hi) >= 1:
-                return 0
+        if round_ == 0 and _common_root(
+            a.polynomial, b.polynomial, max(a.lo, b.lo), min(a.hi, b.hi)
+        ):
+            return 0
         tol = min(a.width, b.width) * COMPARE_SHRINK
         a = a.refined(tol)
         b = b.refined(tol)
     raise SeparationError("enclosures neither separate nor share a certified root")
 
 
-@functools.lru_cache(maxsize=16)
 def silver_ratio_squared(tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Enclosure of 3 + 2*sqrt(2), the classification threshold, from t^2 - 6t + 1.
-
-    Cached per ``tol``: every comparison against the bound shares one isolation.
-    """
+    """Enclosure of 3 + 2*sqrt(2), the classification threshold, from t^2 - 6t + 1."""
     return largest_real_root(SILVER_SQUARED_POLY, tol)
-
-
-def _is_silver_power(base: RootEnclosure, exponent: int) -> bool:
-    """Whether the enclosed root x has x^exponent in {3 + 2*sqrt(2), 3 - 2*sqrt(2)}.
-
-    Those x are exactly the positive real roots of t^(2e) - 6t^e + 1, so a
-    root of its gcd with the certificate inside the enclosure decides it.
-    """
-    comp = [0] * (2 * exponent + 1)
-    comp[0] = 1
-    comp[exponent] = -6
-    comp[2 * exponent] = 1
-    g = poly_gcd(base.polynomial, IntPolynomial(comp))
-    return g.degree() >= 1 and real_roots_in_interval(g, base.lo, base.hi) >= 1
 
 
 def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:
     """-1, 0, +1 for base^exponent against 3 + 2*sqrt(2), exactly.
 
-    Interval separation comes first: the outward-rounded power of ``base``
-    is compared with the cached enclosure of the threshold, and disjoint
-    intervals decide.  Only when those first enclosures overlap does the
-    algebraic test run: a value exactly on the threshold (the enclosed root
-    is a root of t^(2e) - 6t^e + 1) must overlap it, so it is detected
-    before any refinement and overlap can never be mistaken for a violation
-    of the bound.  The reciprocal 3 - 2*sqrt(2) lies far below the
-    threshold and separates at once, as -1.  Otherwise both enclosures are
-    refined until they separate.
+    s(t) = t^(2e) - 6t^e + 1 = (t^e - 3 - 2*sqrt(2))(t^e - 3 + 2*sqrt(2)),
+    e the exponent, has one root above 1, rho = (3 + 2*sqrt(2))^(1/e), and
+    on t > 1 its sign is the side of t^e.  So an end lo >= 1 with s(lo) > 0
+    proves +1, and an end hi <= 1 or with s(hi) < 0 proves -1.  If neither
+    end decides, rho lies in the enclosure, and the enclosed root is rho iff
+    gcd(s, certificate) has a root there above 1: one gcd decides 0, and
+    otherwise only ``base`` is refined until an end decides.  No enclosure
+    of the threshold is built.
     """
     if base.lo < 0:
         raise ValueError("comparator expects a nonnegative enclosure")
     if exponent < 1:
         raise ValueError("comparator needs a positive exponent")
-    threshold = silver_ratio_squared()
+    coeffs = [0] * (2 * exponent + 1)
+    coeffs[0], coeffs[exponent], coeffs[2 * exponent] = 1, -6, 1
+    silver = IntPolynomial(coeffs)
     b = base
-    for round_ in range(SILVER_COMPARE_ROUNDS + 1):
-        powered = b.powered(exponent)
-        if powered.hi < threshold.lo:
-            return -1
-        if powered.lo > threshold.hi:
+    for round_ in range(COMPARE_ROUNDS + 1):
+        if b.lo >= 1 and silver.sign_at(b.lo) > 0:
             return 1
-        if round_ == 0 and _is_silver_power(base, exponent):
-            # base^exponent is 3 + 2*sqrt(2) or its reciprocal; 1 is not a
-            # root of the composition, so the position against 1 settles which.
-            while not (b.lo > 1 or b.hi < 1):
-                b = b.refined(b.width / 4)
-            return 0 if b.lo > 1 else -1
-        b = b.refined(b.width / 256)
-        threshold = threshold.refined(threshold.width / 256)
+        if b.hi <= 1 or silver.sign_at(b.hi) < 0:
+            return -1
+        if round_ == 0 and _common_root(b.polynomial, silver, max(b.lo, Fraction(1)), b.hi):
+            return 0
+        b = b.refined(b.width * COMPARE_SHRINK)
     raise SeparationError("cannot separate the normalized value from the bound")
 
 

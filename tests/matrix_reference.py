@@ -7,11 +7,17 @@ char poly is the polynomial ``spectral_radius`` builds from the power sums
 of chi(A), at the cost of an n(n+1)/2-square matrix.
 
 ``wielandt_positive`` is the power test for primitivity, independent of the
-graph criterion ``is_primitive`` uses.
+graph criterion ``is_primitive`` uses: boolean powers of the zero pattern,
+as tuples of rows.  ``matmul`` multiplies such tuples exactly.
+
+``pairwise_edges`` lists the edges of a curve graph by definition, one
+vertex-set test per pair of curves, where ``CurveGraph.edges`` reads them
+off pairs of cycle classes.
 """
 
 from __future__ import annotations
 
+from stretchlab.curvegraph import CurveGraph
 from stretchlab.matrices import IntMatrix
 
 
@@ -25,8 +31,29 @@ def symmetric_square(a: IntMatrix) -> IntMatrix:
     )
 
 
+def matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product of two square integer matrices given as rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
 def wielandt_positive(a: IntMatrix) -> bool:
     """A^((n-1)^2 + 1) > 0, the classic primitivity oracle (nonnegative A)."""
     if not a.is_nonnegative():
         return False
-    return a.power((a.n - 1) ** 2 + 1).is_positive()
+    pattern = tuple(tuple(int(e > 0) for e in row) for row in a.rows)
+    power = pattern
+    for _ in range((a.n - 1) ** 2):
+        power = tuple(tuple(int(e > 0) for e in row) for row in matmul(power, pattern))
+    return all(map(all, power))
+
+
+def pairwise_edges(g: CurveGraph) -> list[tuple[int, int]]:
+    """Every pair i < j of curves with disjoint vertex sets."""
+    sets = [frozenset(c.vertices) for c in g.cycles]
+    return [
+        (i, j)
+        for i in range(len(sets))
+        for j in range(i + 1, len(sets))
+        if not sets[i] & sets[j]
+    ]

@@ -7,6 +7,10 @@ a second remainder sequence on it.  Evaluation is dense Horner over every
 coefficient.  ``largest_real_root`` repeats the library's isolation and
 bisection on top of these, so the library's lazy division, one-pass chain
 and sparse evaluation must give the same results, enclosures included.
+
+``compare_power_to_silver_squared`` is the interval comparator of the bound:
+powers of the enclosure against an enclosure of 3 + 2*sqrt(2).  The
+library's sign test must give the same side.
 """
 
 from __future__ import annotations
@@ -15,7 +19,14 @@ import math
 from fractions import Fraction
 
 from stretchlab.poly import DivisionResult, IntPolynomial
-from stretchlab.roots import DEFAULT_TOL, cauchy_root_bound
+from stretchlab.roots import (
+    DEFAULT_TOL,
+    SILVER_SQUARED_POLY,
+    RootEnclosure,
+    cauchy_root_bound,
+    real_roots_in_interval,
+)
+from stretchlab.roots import largest_real_root as lib_largest_real_root
 
 
 def eager_pseudo_divide(p: IntPolynomial, q: IntPolynomial) -> tuple[list[int], list[int], int]:
@@ -147,3 +158,34 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL):
         else:
             hi = m
     return lo, hi, sf
+
+
+def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:
+    """-1, 0, +1 for base^exponent against 3 + 2*sqrt(2), by interval arithmetic.
+
+    The interval route the library's sign test replaced: the outward-rounded
+    power of ``base`` against an enclosure of the threshold, both refined
+    until they separate.  A value on the threshold or its reciprocal is a
+    root of t^(2e) - 6t^e + 1, which the gcd with the certificate detects
+    while the first enclosures overlap; the position against 1 then tells
+    3 + 2*sqrt(2) from 3 - 2*sqrt(2).
+    """
+    threshold = lib_largest_real_root(SILVER_SQUARED_POLY)
+    b = base
+    for round_ in range(13):  # the first test and 12 refinements
+        powered = b.powered(exponent)
+        if powered.hi < threshold.lo:
+            return -1
+        if powered.lo > threshold.hi:
+            return 1
+        if round_ == 0:
+            comp = [0] * (2 * exponent + 1)
+            comp[0], comp[exponent], comp[2 * exponent] = 1, -6, 1
+            g = poly_gcd(base.polynomial, IntPolynomial(comp))
+            if g.degree() >= 1 and real_roots_in_interval(g, base.lo, base.hi) >= 1:
+                while not (b.lo > 1 or b.hi < 1):
+                    b = b.refined(b.width / 4)
+                return 0 if b.lo > 1 else -1
+        b = b.refined(b.width / 256)
+        threshold = threshold.refined(threshold.width / 256)
+    raise ArithmeticError("cannot separate the normalized value from the bound")

@@ -731,6 +731,14 @@ def test_repro_set_theorem_passes_and_is_deterministic(capsys):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize("tol", ["1/16", "1/2", "1"])
+def test_repro_set_theorem_passes_at_a_coarse_tol(tol, capsys):
+    # the normalized values are read on refined ends, not on coarse midpoints
+    code, out = run_cli(capsys, "repro", "set-theorem", "--tol", tol)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_repro_thm_main_deterministic_across_threads(capsys):
     code1, out1 = run_cli(capsys, "repro", "thm-main", "--threads", "1")
     code2, out2 = run_cli(capsys, "repro", "thm-main", "--threads", "2")

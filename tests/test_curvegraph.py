@@ -1,10 +1,16 @@
 """Curve graphs, clique polynomials, growth rates and shape detection."""
 
+import json
 import random
+import time
 
 import pytest
 
+from matrix_reference import pairwise_edges
+from stretchlab.cli import main
 from stretchlab.curvegraph import (
+    DEFAULT_CLIQUE_GUARD,
+    CurveGraph,
     GrowthRateError,
     clique_polynomial,
     curve_graph,
@@ -175,6 +181,7 @@ def test_curve_graph_report_computes_each_quantity_once(rows, monkeypatch):
         (curvegraph, "cycle_classes"),
         (curvegraph, "_clique_coefficients"),
         (_kernels, "charpoly"),
+        (curvegraph.CurveGraph, "edges"),
     )
     calls = {name: 0 for _, name in patched}
     for module, name in patched:
@@ -186,5 +193,39 @@ def test_curve_graph_report_computes_each_quantity_once(rows, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     report = curve_graph_report(m)
-    assert calls == {"cycle_classes": 1, "_clique_coefficients": 1, "charpoly": 1}
+    assert calls == {"cycle_classes": 1, "_clique_coefficients": 1, "charpoly": 1, "edges": 1}
     assert report["identity_ok"] is identity is True
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[4] * 4] * 4,
+        [[1, 1], [1, 1]],
+        [[0, 2, 0], [0, 0, 3], [1, 0, 1]],
+        [[2, 1, 0, 1], [1, 1, 1, 0], [0, 1, 0, 3], [1, 0, 1, 1]],
+    ],
+)
+def test_curve_graph_report_lists_the_pairwise_edges(rows, capsys, monkeypatch):
+    argv = ["curve-graph", "--matrix", json.dumps({"rows": rows})]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    monkeypatch.setattr(CurveGraph, "edges", pairwise_edges)
+    assert (code, out) == (main(argv), capsys.readouterr().out)
+    assert code == 0
+    # 2,160 curves, 3,680 edges; one frozenset test per curve pair took ~8 s
+    assert elapsed < 1.0
+
+
+def test_curve_graph_refuses_more_edges_than_the_guard(capsys):
+    # two loops of 50,000 parallel curves each pass the cycle cap, and ask
+    # for 50,000^2 edges; 1,000^2 is exactly the guard and is listed
+    over = {"rows": [[50_000, 0], [0, 50_000]]}
+    assert main(["curve-graph", "--matrix", json.dumps(over)]) == 2
+    assert capsys.readouterr().out == ""
+    at = curve_graph(IntMatrix([[1000, 0], [0, 1000]]))
+    assert len(at.edges()) == DEFAULT_CLIQUE_GUARD
+    with pytest.raises(CapExceeded):
+        curve_graph(IntMatrix([[1001, 0], [0, 1000]])).edges()

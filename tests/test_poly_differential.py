@@ -1,5 +1,6 @@
-"""Lazy pseudo-division, the one-pass Sturm chain and sparse Horner against
-the frozen two-pass reference in ``poly_reference.py``."""
+"""Lazy pseudo-division, the one-pass Sturm chain, sparse Horner and the
+sign comparator of the bound against the frozen references in
+``poly_reference.py``."""
 
 from fractions import Fraction
 
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 import poly_reference as ref
 from stretchlab.families import enumerate_admissible
 from stretchlab.poly import IntPolynomial, _pseudo_divide, divrem, poly_gcd, pseudo_rem
-from stretchlab.roots import largest_real_root, sturm_chain
+from stretchlab.roots import (
+    DEFAULT_TOL,
+    compare_power_to_silver_squared,
+    largest_real_root,
+    sturm_chain,
+)
 from stretchlab.sharpness import expected_char_poly
 
 P = IntPolynomial
@@ -103,3 +109,22 @@ def test_family_16_enclosures_match_reference():
     assert reports
     for r in reports:
         assert (r.root.lo, r.root.hi, r.root.polynomial) == ref.largest_real_root(r.polynomial)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Fraction(1, 4)], ids=["default", "1/4"])
+def test_family_sides_match_the_interval_comparator(tol):
+    for n in range(4, 17):
+        for r in enumerate_admissible(n, tol=tol):
+            side = compare_power_to_silver_squared(r.root, n)
+            assert side == ref.compare_power_to_silver_squared(r.root, n) == r.side, r.polynomial
+
+
+def test_sharpness_and_golden_sides_match_the_interval_comparator():
+    for k in range(2, 61):
+        root = largest_real_root(expected_char_poly(k))
+        side = compare_power_to_silver_squared(root, 2 * k)
+        assert side == ref.compare_power_to_silver_squared(root, 2 * k) == 1, k
+    mu = largest_real_root(P((-1, -1, 1)))
+    sides = [compare_power_to_silver_squared(mu, e) for e in range(1, 9)]
+    assert sides == [ref.compare_power_to_silver_squared(mu, e) for e in range(1, 9)]
+    assert sides == [-1, -1, -1] + [1] * 5  # mu^3 < 3 + 2*sqrt(2) < mu^4

@@ -14,7 +14,6 @@ from poly_reference import square_free_part
 from stretchlab.poly import IntPolynomial, cyclotomic
 from stretchlab.roots import (
     DEFAULT_TOL,
-    SILVER_SQUARED_POLY,
     NoRealRootError,
     RootEnclosure,
     cauchy_root_bound,
@@ -361,24 +360,37 @@ def test_power_comparison_separates_before_the_gcd(monkeypatch):
     assert len(calls) == 1
 
 
-def test_silver_threshold_isolated_once_per_tol(monkeypatch):
+def test_comparators_isolate_no_threshold_and_take_one_gcd(monkeypatch):
     roots_module = importlib.import_module("stretchlab.roots")
     mu = largest_real_root(GOLDEN)
-    isolate = roots_module.largest_real_root
+    sigma = largest_real_root(SILVER)
+    inverse_sigma = largest_real_root(P((-1, 2, 1)))
+    near = largest_real_root(P((-(10**12 + 1), 0, 1)))  # sqrt(10^12 + 1), beside 10^6
+    shared = largest_real_root(P((-(10**12 + 1), 0, 1)) * P((-(10**12), 0, 1)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the comparator built an enclosure of the threshold")
+
+    gcd = roots_module.poly_gcd
     calls = []
-    monkeypatch.setattr(
-        roots_module,
-        "largest_real_root",
-        lambda p, tol=DEFAULT_TOL: calls.append((p, tol)) or isolate(p, tol),
-    )
-    silver_ratio_squared.cache_clear()
-    for e in range(2, 9):
-        compare_power_to_silver_squared(mu, e)
-    assert calls == [(SILVER_SQUARED_POLY, DEFAULT_TOL)]
-    assert silver_ratio_squared() is silver_ratio_squared()
+    monkeypatch.setattr(roots_module, "largest_real_root", forbidden)
+    monkeypatch.setattr(RootEnclosure, "powered", forbidden)
+    monkeypatch.setattr(roots_module, "poly_gcd", lambda p, q: calls.append(q) or gcd(p, q))
+    assert [compare_power_to_silver_squared(mu, e) for e in range(2, 9)] == [-1, -1] + [1] * 5
+    assert compare_power_to_silver_squared(sigma, 2) == 0
+    assert compare_power_to_silver_squared(inverse_sigma, 2) == -1
+    # each comparison of overlapping enclosures takes at most one gcd
+    for a, b, side in ((mu, mu, 0), (near, shared, 0), (shared, near, 0)):
+        calls.clear()
+        assert compare_enclosures(a, b) == side
+        assert len(calls) <= 1
+    million = RootEnclosure(Fraction(999_999), Fraction(1_000_001), P((-(10**12), 0, 1)))
+    calls.clear()
+    assert compare_enclosures(million, near) == -1  # overlaps first, then refines apart
+    assert len(calls) == 1
+    monkeypatch.undo()
     fine = Fraction(1, 2**50)
     assert silver_ratio_squared(fine).width <= fine
-    assert calls == [(SILVER_SQUARED_POLY, DEFAULT_TOL), (SILVER_SQUARED_POLY, fine)]
 
 
 def test_decimal_and_dyadic_rendering():
