@@ -20,12 +20,16 @@ identities) and by the reference route, the char poly of the
 n(n+1)/2-square matrix Sym^2 A.  The stripping row times ``strip_cyclotomic``
 (which divides only where Phi_m(2) divides the value at 2) and plain trial
 division on the parity survivors of the five families at n = 16.  The
-root-isolation rows time ``largest_real_root`` (one remainder sequence per
-polynomial, lazy pseudo-division, sparse Horner) and the two-pass eager
-reference on the sharpness char polys and the admissible n = 16 family
-polynomials.  The JSON row times the CLI's streaming writer and
-``json.JSONEncoder(indent=2, sort_keys=True)`` on the ``sharpness --k``
-reports.  The train-track rows time ``track_report`` on the infinitesimal
+root-isolation rows time ``largest_real_root`` (the one-sign-change route
+where it applies, else one remainder sequence per polynomial, lazy
+pseudo-division, sparse Horner) and the two-pass eager reference on the
+sharpness char polys and the admissible n = 16 family polynomials.  The
+one-sign-change rows time ``largest_real_root`` on the sharpness char poly
+at k = 200, 400 and 800 (modular square-free gate, then sign bisection of
+(0, CauchyBound]) against the Sturm route from a cold chain cache, and the
+gate alone; the enclosures are asserted equal.  The JSON row times the
+CLI's streaming writer and ``json.JSONEncoder(indent=2, sort_keys=True)`` on
+the ``sharpness --k`` reports.  The train-track rows time ``track_report`` on the infinitesimal
 n-gon with a real loop per vertex, n = 10, 20, 30: integer elimination for
 the weight space, the Gram matrix B F B^T and its kernel.  Their weight-space
 and radical dimensions are asserted against sympy ranks, with the skew form
@@ -71,7 +75,7 @@ from pathlib import Path
 import sympy
 
 import stretchlab
-from stretchlab import _kernels, cli
+from stretchlab import _kernels, cli, roots
 from stretchlab.classify import parity_condition, strip_cyclotomic
 from stretchlab.curvegraph import (
     CurveGraph,
@@ -87,7 +91,12 @@ from stretchlab.poly import (
     from_power_sums,
     power_sums,
 )
-from stretchlab.roots import compare_power_to_silver_squared, largest_real_root, sturm_chain
+from stretchlab.roots import (
+    DEFAULT_TOL,
+    compare_power_to_silver_squared,
+    largest_real_root,
+    sturm_chain,
+)
 from stretchlab.search import SearchConfig, canonical_codes, run_search, scan_orbits
 from stretchlab.sharpness import build_matrix, expected_char_poly
 from stretchlab.traintrack import switch_matrix, track_report, track_to_json
@@ -304,13 +313,28 @@ def main():
         (f"sharpness char polys k={','.join(map(str, ks))}", [expected_char_poly(k) for k in ks]),
         (f"family admissible n=16 x{len(family)}", family),
     ]
-    print(f"\n{'largest_real_root':<38} {'one-pass':>10} {'two-pass':>10} {'ratio':>9}")
+    print(f"\n{'largest_real_root':<38} {'library':>10} {'two-pass':>10} {'ratio':>9}")
     for name, polys in rows:
         sturm_chain.cache_clear()
         t_lib, lib = timed(lambda: [largest_real_root(p) for p in polys])
         t_ref, reference = timed(lambda: [poly_reference.largest_real_root(p) for p in polys])
         assert [(e.lo, e.hi, e.polynomial) for e in lib] == reference, name
         print(f"{name:<38} {t_lib:>9.3f}s {t_ref:>9.3f}s {t_ref / t_lib:>8.1f}x")
+
+    print(f"\n{'one-sign-change route':<38} {'route':>10} {'Sturm':>10} {'ratio':>9} {'gate':>10}")
+    for k in (200,) if args.quick else (200, 400, 800):
+        p = expected_char_poly(k)
+        sturm_chain.cache_clear()
+        t_route, fast = timed(lambda: largest_real_root(p))
+        t_sturm, slow = timed(lambda: roots._sturm_largest_root(p, DEFAULT_TOL))
+        t_gate, proved = timed(lambda: roots._square_free_mod_prime(p))
+        assert proved, f"the gate fails on the sharpness char poly at k={k}"
+        assert (fast.lo, fast.hi, fast.polynomial) == (slow.lo, slow.hi, slow.polynomial), k
+        name = f"sharpness char poly k={k} (degree {2 * k})"
+        print(
+            f"{name:<38} {t_route * 1e3:>8.1f}ms {t_sturm * 1e3:>8.1f}ms "
+            f"{t_sturm / t_route:>8.1f}x {t_gate * 1e3:>8.1f}ms"
+        )
 
     print(f"\n{'lambda^e against sigma^2':<38} {'signs':>10} {'interval':>10} {'ratio':>9}")
     for e in (100, 400, 800):

@@ -171,12 +171,12 @@ def _adjacency(rows, n: int) -> tuple[list[int], list[int]]:
     """Out- and in-neighbour bitmasks; edges are the nonzero entries."""
     adj = [0] * n
     radj = [0] * n
-    for u in range(n):
-        row = rows[u]
-        for v in range(n):
-            if row[v]:
-                adj[u] |= 1 << v
-                radj[v] |= 1 << u
+    cols = range(n)
+    for u, row in enumerate(rows):
+        bit = 1 << u
+        for v in compress(cols, row):
+            adj[u] |= 1 << v
+            radj[v] |= bit
     return adj, radj
 
 

@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol=True):
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="enclosure width bound (default 1e-12)")
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="enclosure width bound (default 2^-40, about 9.09e-13)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 

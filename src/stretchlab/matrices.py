@@ -12,6 +12,7 @@ connected, cycle-length gcd one.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -37,12 +38,16 @@ class PerronPreconditionError(CheckFailed):
 
 
 class IntMatrix(Immutable):
-    """Immutable square matrix of arbitrary-precision integers."""
+    """Immutable square matrix of arbitrary-precision integers.
+
+    Entries go through ``operator.index``, as polynomial coefficients do:
+    bools and numpy integers become ints, and a float raises TypeError.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(map(int, row)) for row in rows)
+        data = tuple(tuple(map(operator.index, row)) for row in rows)
         if not data or any(len(row) != len(data) for row in data):
             raise ValueError("matrix must be square and nonempty")
         set_field(self, "rows", data)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -31,13 +32,15 @@ class IntPolynomial(Immutable):
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of t^i.
 
     The zero polynomial is the empty tuple.  Instances are immutable and
-    hashable, so they can key caches.
+    hashable, so they can key caches.  Coefficients go through
+    ``operator.index``: bools and numpy integers become ints, and a float
+    raises TypeError instead of being truncated.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        data = tuple(map(int, coeffs))
+        data = tuple(map(operator.index, coeffs))
         end = len(data)
         while end and not data[end - 1]:
             end -= 1
@@ -166,8 +169,9 @@ class IntPolynomial(Immutable):
                 gap = 0
         return acc * num**gap
 
-    def sign_at(self, x: Fraction) -> int:
-        v = self.eval_scaled(x.numerator, x.denominator)
+    def sign_at(self, x: Fraction | int, den: int = 1) -> int:
+        """Sign of p(x / den), for x an int or a Fraction and den a positive int."""
+        v = self.eval_scaled(x.numerator, x.denominator * den)
         return (v > 0) - (v < 0)
 
     def content(self) -> int:

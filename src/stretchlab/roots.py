@@ -5,10 +5,17 @@ parts at every step keep coefficient growth in check).  One run of
 ``poly.remainder_sequence``, the sequence ``poly_gcd`` also takes its gcd
 from, both builds the chain and tests square-freeness, so the chain's
 first element is the square-free certificate that enclosures carry.
-Isolation and refinement use pure dyadic bisection, so every certificate is
-a finite integer computation.  Both exact comparators have one shape: signs
-at the enclosure ends decide an order, one gcd of certificates decides
-equality, and otherwise they refine, up to ``COMPARE_ROUNDS`` rounds.
+``largest_real_root`` skips the chain for a monic p with p(0) < 0 and one
+coefficient sign change (the sharpness polynomials and every kA1 family
+form): Descartes' rule gives it one positive root, simple, and when
+gcd(p, p') modulo the word-size prime ``SQUARE_FREE_PRIME`` is constant, p
+is square-free, so p is its own certificate and sign bisection of
+(0, CauchyBound] gives the Sturm route's enclosure.  Isolation and
+refinement use pure dyadic bisection on integer numerators over one
+denominator, so every certificate is a finite integer computation.  Both
+exact comparators have one shape: signs at the enclosure ends decide an
+order, one gcd of certificates decides equality, and otherwise they refine,
+up to ``COMPARE_ROUNDS`` rounds.
 ``compare_power_to_silver_squared`` reads the signs of t^(2e) - 6t^e + 1,
 so it needs no enclosure of the threshold.  Nothing in this module touches
 floating point except ``ValueInterval.__float__``, a convenience for callers.
@@ -17,6 +24,7 @@ floating point except ``ValueInterval.__float__``, a convenience for callers.
 from __future__ import annotations
 
 import functools
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -24,16 +32,20 @@ from ._immutable import Immutable, set_field
 from .errors import CheckFailed
 from .poly import IntPolynomial, exact_div, one, poly_gcd, remainder_sequence
 
-#: Default enclosure width, a dyadic stand-in for 1e-12.
+#: Default enclosure width: 2^-40, about 9.09e-13, a dyadic stand-in for 1e-12.
 DEFAULT_TOL = Fraction(1, 2**40)
 
 #: Finest enclosure width the CLI accepts: bisection work grows with the
 #: bits of the width, so a few characters of ``--tol`` must not ask for
-#: thousands of them (``sharpness --k 200`` takes ~0.5 s at this width).
+#: thousands of them (``sharpness --k 200`` takes ~0.33 s at this width on
+#: a 2-core Xeon, CPython 3.11).
 MIN_TOL = Fraction(1, 2**256)
 
 #: t^2 - 6t + 1; its larger root is the squared silver ratio 3 + 2*sqrt(2).
 SILVER_SQUARED_POLY = IntPolynomial((1, -6, 1))
+
+#: The word-size prime of the square-free proof on the one-sign-change route.
+SQUARE_FREE_PRIME = 2**31 - 1
 
 #: Refinement cap of both comparators, and the width factor per round.
 COMPARE_ROUNDS = 12
@@ -244,24 +256,84 @@ def _sign_bisect(
         return _collapse_exact_root(hi, lo, hi + tol / 4, tol)
     if s_lo == 0 or s_lo == s_hi:
         raise AssertionError("enclosure lost its sign change; this is a bug")
-    while hi - lo > tol:
-        m = (lo + hi) / 2
-        sm = sf.sign_at(m)
+    # lo = a/den and hi = b/den on one denominator; each step doubles den and
+    # keeps one half, so b - a is fixed while the width halves.  The midpoints
+    # are the ones (lo + hi) / 2 would give, with no gcd per step.
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    span = (b - a) * tol.denominator
+    limit = tol.numerator * den  # width <= tol iff span <= limit
+    while span > limit:
+        m = a + b
+        a, b, den, limit = 2 * a, 2 * b, 2 * den, 2 * limit
+        sm = sf.sign_at(m, den)
         if sm == 0:
-            return _collapse_exact_root(m, lo, hi, tol)
+            return _collapse_exact_root(
+                Fraction(m, den), Fraction(a, den), Fraction(b, den), tol
+            )
         if sm == s_lo:
-            lo = m
+            a = m
         else:
-            hi = m
-    return lo, hi
+            b = m
+    return Fraction(a, den), Fraction(b, den)
+
+
+def _one_sign_change(p: IntPolynomial) -> bool:
+    """Whether p is monic with p(0) < 0 and one sign change in its coefficients.
+
+    Descartes' rule of signs then gives p exactly one positive root, and that
+    root is simple: p < 0 on (0, root) and p > 0 above it.
+    """
+    c = p.coeffs
+    if len(c) < 2 or c[-1] != 1 or c[0] >= 0:
+        return False
+    first = next(i for i, x in enumerate(c) if x > 0)
+    return min(c[first:]) >= 0
+
+
+def _square_free_mod_prime(p: IntPolynomial) -> bool:
+    """Whether gcd(p, p') modulo ``SQUARE_FREE_PRIME`` is constant; p monic.
+
+    That proves p square-free: p = g^2 h over Z with deg g >= 1 makes g, whose
+    lead divides lead(p) = 1, a nonconstant common factor of p and p' mod the
+    prime.  The converse can fail (the prime divides the discriminant), and
+    then the caller takes the Sturm route.  Euclid runs on coefficient lists,
+    leading coefficient first, so each elimination is one pass over a prefix.
+    """
+    q = SQUARE_FREE_PRIME
+    a = [c % q for c in reversed(p.coeffs)]
+    d = len(a) - 1
+    b = [(d - i) * c % q for i, c in enumerate(a[:-1])]
+    while b and not b[0]:
+        del b[0]
+    while len(b) > 1:
+        inv = pow(b[0], -1, q)
+        tail = b[1:]
+        n = len(b)
+        while len(a) >= n:
+            c = a[0]
+            if c:
+                c = c * inv % q
+                a[:n] = [(x - c * y) % q for x, y in zip(a[1:n], tail)]
+            else:
+                del a[0]
+        while a and not a[0]:
+            del a[0]
+        a, b = b, a
+    return len(b) == 1
 
 
 def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Certified enclosure of the largest real root of p.
 
-    The search runs over (0, CauchyBound] by Sturm-counted bisection, then
-    refines by sign bisection; the caller-facing contract requires p to have
-    a positive real root, and the returned interval provably contains the
+    A monic p with p(0) < 0, one coefficient sign change and a square-free
+    proof modulo ``SQUARE_FREE_PRIME`` has one positive root, simple, in
+    (0, CauchyBound]: p is its own certificate, and sign bisection of that
+    interval gives the enclosure the Sturm route would.  Any other p takes
+    the Sturm route: Sturm-counted bisection over (0, CauchyBound], then
+    sign bisection.  The caller-facing contract requires p to have a
+    positive real root, and the returned interval provably contains the
     single largest one (no real root lies above it).
     """
     if p.is_zero():
@@ -271,6 +343,14 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEncl
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if _one_sign_change(p) and _square_free_mod_prime(p):
+        lo, hi = _sign_bisect(p, Fraction(0), cauchy_root_bound(p), tol)
+        return RootEnclosure(lo, hi, p)
+    return _sturm_largest_root(p, tol)
+
+
+def _sturm_largest_root(p: IntPolynomial, tol: Fraction) -> RootEnclosure:
+    """``largest_real_root`` by the Sturm chain of p, for any nonconstant p."""
     chain = sturm_chain(p)
     sf = chain.chain[0]
     bound = cauchy_root_bound(sf)
@@ -293,11 +373,15 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEncl
 def largest_root_above_one(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEnclosure | None:
     """``largest_real_root(p, tol)`` when p has a real root above 1, else None.
 
-    A Sturm count on (1, CauchyBound] decides whether the root exists; the
-    enclosure is ``largest_real_root``'s own, so asking first changes no
-    certificate.  p must be nonconstant.
+    For a monic p with p(0) < 0 and one coefficient sign change, p(1) < 0
+    decides whether the root exists; for any other p a Sturm count on
+    (1, CauchyBound] does.  The enclosure is ``largest_real_root``'s own, so
+    asking first changes no certificate.  p must be nonconstant.
     """
-    if real_roots_in_interval(p, 1, cauchy_root_bound(p)) == 0:
+    if _one_sign_change(p):
+        if sum(p.coeffs) >= 0:
+            return None
+    elif real_roots_in_interval(p, 1, cauchy_root_bound(p)) == 0:
         return None
     return largest_real_root(p, tol)
 

@@ -26,7 +26,7 @@ from .roots import DEFAULT_TOL, RootEnclosure, ValueInterval
 
 
 #: Largest k built: the 2k x 2k matrix has 4k^2 entries, and k = 1000
-#: already takes about 6 s and writes a 44 MB report.
+#: takes about 0.8 s (2-core Xeon, CPython 3.11) and writes a 44 MB report.
 SHARPNESS_CAP = 1000
 
 

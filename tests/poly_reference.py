@@ -4,9 +4,11 @@ It keeps the eager pseudo-division, which multiplies the whole remainder
 and quotient by lead(q) at every step (zero coefficients included), and
 the two-pass Sturm chain: the square-free part p / gcd(p, p') first, then
 a second remainder sequence on it.  Evaluation is dense Horner over every
-coefficient.  ``largest_real_root`` repeats the library's isolation and
-bisection on top of these, so the library's lazy division, one-pass chain
-and sparse evaluation must give the same results, enclosures included.
+coefficient.  ``largest_real_root`` repeats the library's Sturm isolation
+on top of these, and ``sign_bisect`` bisects on ``Fraction`` midpoints, so
+the library's lazy division, one-pass chain, sparse evaluation,
+one-sign-change route and integer-dyadic bisection must give the same
+results, enclosures included.
 
 ``compare_power_to_silver_squared`` is the interval comparator of the bound:
 powers of the enclosure against an enclosure of 3 + 2*sqrt(2).  The
@@ -143,21 +145,26 @@ def largest_real_root(p: IntPolynomial, tol: Fraction = DEFAULT_TOL):
             a = m
         else:
             b = m
-    lo, hi = a, b
+    return (*sign_bisect(sf, a, b, tol), sf)
+
+
+def sign_bisect(sf: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction):
+    """``(lo, hi)`` of width <= tol by sign bisection on ``Fraction`` midpoints;
+    an exact dyadic root m collapses to [m - tol/4, m + tol/4] cut to (lo, hi)."""
     s_lo, s_hi = _sign(sf, lo), _sign(sf, hi)
     if s_hi == 0:
-        return max(lo, hi - tol / 4), hi + tol / 4, sf
+        return max(lo, hi - tol / 4), hi + tol / 4
     assert s_lo and s_lo != s_hi
     while hi - lo > tol:
         m = (lo + hi) / 2
         sm = _sign(sf, m)
         if sm == 0:
-            return max(lo, m - tol / 4), min(hi, m + tol / 4), sf
+            return max(lo, m - tol / 4), min(hi, m + tol / 4)
         if sm == s_lo:
             lo = m
         else:
             hi = m
-    return lo, hi, sf
+    return lo, hi
 
 
 def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:

@@ -36,6 +36,14 @@ FIB = IntMatrix([[1, 1], [1, 0]])
 REMARK = IntMatrix([[0, 0, 1, 1], [1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]])
 
 
+def test_entries_are_integers_not_truncated_floats():
+    assert IntMatrix([[np.int64(1), 0], [0, True]]).rows == ((1, 0), (0, 1))
+    assert all(type(e) is int for row in IntMatrix([[np.int8(3), True]] * 2).rows for e in row)
+    for bad in ([[1.7, 0], [0, True]], [[1, 0], [0, 1.0]]):
+        with pytest.raises(TypeError):
+            IntMatrix(bad)
+
+
 def test_char_poly_examples():
     assert char_poly(FIB) == P((-1, -1, 1))
     assert char_poly(REMARK) == P((-1, -2, -1, 0, 1))

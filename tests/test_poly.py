@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic, division, gcd and cyclotomics."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,14 @@ def test_trimming_and_degree():
     assert P(()).degree() == -1
     assert P((0,)).is_zero()
     assert P((5,)).degree() == 0
+
+
+def test_coefficients_are_integers_not_truncated_floats():
+    assert P([True, np.int64(2), 3]).coeffs == (1, 2, 3)
+    assert all(type(c) is int for c in P([True, np.int64(2)]).coeffs)
+    for bad in ([1.9, 2], [1, 2.0], [Fraction(1, 1)]):
+        with pytest.raises(TypeError):
+            P(bad)
 
 
 def test_mul_worked_example():
@@ -185,8 +195,6 @@ def test_poly_gcd_and_square_free():
 
 
 def test_eval_scaled_sign_matches_fraction_eval():
-    from fractions import Fraction
-
     rng = random.Random(5)
     for _ in range(100):
         p = P([rng.randint(-9, 9) for _ in range(rng.randint(1, 9))])
@@ -196,6 +204,10 @@ def test_eval_scaled_sign_matches_fraction_eval():
         exact = p.evaluate(Fraction(num, den))
         scaled = p.eval_scaled(num, den)
         assert (exact > 0) == (scaled > 0) and (exact < 0) == (scaled < 0)
+        # sign_at(x, den) reads x / den, reduced or not
+        sign = (exact > 0) - (exact < 0)
+        assert p.sign_at(num, den) == p.sign_at(Fraction(num, den)) == sign
+        assert p.sign_at(Fraction(num, 3), 2 * den) == p.sign_at(Fraction(num, 6 * den))
 
 
 def test_json_roundtrip():
