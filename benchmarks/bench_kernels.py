@@ -20,6 +20,10 @@ identities) and by the reference route, the char poly of the
 n(n+1)/2-square matrix Sym^2 A.  The stripping row times ``strip_cyclotomic``
 (which divides only where Phi_m(2) divides the value at 2) and plain trial
 division on the parity survivors of the five families at n = 16.  The
+root-above-one rows time ``largest_root_above_one`` (read off the one
+enclosure of ``largest_real_root``) and the reference, which counts roots on
+(1, CauchyBound] before it isolates, on those survivors and on the distinct
+char polys that ``scan_orbits`` finds for n = 4 over {0, 1}.  The
 root-isolation rows time ``largest_real_root`` (the one-sign-change route
 where it applies, else one remainder sequence per polynomial, lazy
 pseudo-division, sparse Horner) and the two-pass eager reference on the
@@ -86,6 +90,7 @@ from stretchlab.curvegraph import (
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
 from stretchlab.matrices import IntMatrix, char_poly
 from stretchlab.poly import (
+    IntPolynomial,
     cyclotomic,
     cyclotomic_indices_up_to_degree,
     from_power_sums,
@@ -95,6 +100,7 @@ from stretchlab.roots import (
     DEFAULT_TOL,
     compare_power_to_silver_squared,
     largest_real_root,
+    largest_root_above_one,
     sturm_chain,
 )
 from stretchlab.search import SearchConfig, canonical_codes, run_search, scan_orbits
@@ -306,6 +312,23 @@ def main():
     print(f"\n{'strip_cyclotomic':<38} {'filtered':>10} {'trial':>10} {'ratio':>9}")
     name = f"family survivors n=16 x{len(survivors)}"
     print(f"{name:<38} {t_filtered:>9.3f}s {t_trial:>9.3f}s {t_trial / t_filtered:>8.1f}x")
+
+    scanned_chis = sorted(
+        {IntPolynomial(chi) for _, chi in scan_orbits(4, 1, canonical_codes(3, 1))},
+        key=lambda p: p.coeffs,
+    )
+    rows = [
+        (f"family survivors n=16 x{len(survivors)}", survivors),
+        (f"search n=4 entries<=1 chi x{len(scanned_chis)}", scanned_chis),
+    ]
+    print(f"\n{'largest_root_above_one':<38} {'enclosure':>10} {'count':>10} {'ratio':>9}")
+    for name, polys in rows:
+        sturm_chain.cache_clear()
+        t_lib, lib = timed(lambda: [largest_root_above_one(p) for p in polys])
+        sturm_chain.cache_clear()
+        t_ref, reference = timed(lambda: [poly_reference.largest_root_above_one(p) for p in polys])
+        assert lib == reference, name
+        print(f"{name:<38} {t_lib:>9.3f}s {t_ref:>9.3f}s {t_ref / t_lib:>8.1f}x")
 
     ks = (50, 100) if args.quick else (50, 100, 150, 200)
     family = [r.polynomial for r in enumerate_admissible(16)]

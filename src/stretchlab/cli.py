@@ -13,6 +13,10 @@ on purpose) is a bug, not a verdict, and its traceback goes to stderr.
 Reports are schema-stable JSON (sorted keys); certified quantities always
 carry their enclosure next to the 10-significant-digit decimal.
 
+Each ``_cmd_*`` returns its report and exit code and writes nothing;
+``main`` alone writes the report (``_emit``) and maps every exception,
+one raised while writing included, to its exit code.
+
 Each subcommand imports the modules it uses when it runs, so a small query
 does not pay for the search driver or ``multiprocessing``.  No command
 decides anything in floating point.
@@ -190,10 +194,9 @@ def _emit(payload: dict, args) -> None:
     batches them: the report is never held as one string, which for an
     MB-sized report would double the peak memory.
     """
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         chunks = _json_chunks(payload)
-    elif fmt == "csv":
+    elif args.format == "csv":
         rows = payload.get("table")
         if rows is None:
             raise InputError("csv format applies only to table-producing commands")
@@ -203,8 +206,7 @@ def _emit(payload: dict, args) -> None:
         chunks = ["\n".join(lines)]
     else:  # text
         chunks = ["\n".join(_as_text(payload))]
-    out = getattr(args, "out", None)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as stream:
         stream.writelines(chunks)
         stream.write("\n")
 
@@ -257,18 +259,17 @@ def _spectral_class_json(sc, tol: Fraction, root=None) -> dict:
 # -- subcommands --------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, int]:
     from .classify import classify
     from .poly import poly_from_json
 
     p = _parse_json_arg(args.poly, poly_from_json, "polynomial")
     if p.is_zero():
         raise InputError("cannot classify the zero polynomial")
-    _emit(_spectral_class_json(classify(p), args.tol), args)
-    return 0
+    return _spectral_class_json(classify(p), args.tol), 0
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> tuple[dict, int]:
     from .classify import STRIP_DEGREE_CAP, classify
     from .matrices import (
         PerronPreconditionError,
@@ -312,11 +313,10 @@ def _cmd_matrix(args) -> int:
         payload["normalized_spectral_radius"] = None
         payload["spectral_radius_error"] = str(exc)
     payload["spectral_class"] = _spectral_class_json(classify(chi), args.tol, rho)
-    _emit(payload, args)
-    return 0
+    return payload, 0
 
 
-def _cmd_curve_graph(args) -> int:
+def _cmd_curve_graph(args) -> tuple[dict, int]:
     from .curvegraph import curve_graph_report
     from .matrices import matrix_from_json
 
@@ -324,11 +324,10 @@ def _cmd_curve_graph(args) -> int:
     if not m.is_nonnegative():
         raise InputError("curve graphs need a nonnegative matrix")
     payload = curve_graph_report(m, args.tol)
-    _emit(payload, args)
-    return 0 if payload["identity_ok"] else 1
+    return payload, 0 if payload["identity_ok"] else 1
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[dict, int]:
     from .families import ALL_FORMS, SCAN_DEGREE_CAP, enumerate_admissible, monotonicity_scan
     from .roots import silver_ratio_squared
 
@@ -353,8 +352,7 @@ def _cmd_family(args) -> int:
             ],
             "scope_note": SCOPE_NOTE,
         }
-        _emit(payload, args)
-        return 0 if result.strictly_increasing else 1
+        return payload, 0 if result.strictly_increasing else 1
     forms = ALL_FORMS if args.forms in (None, "all") else tuple(args.forms.split(","))
     unknown = [tag for tag in forms if tag not in ALL_FORMS]
     if unknown:
@@ -381,11 +379,10 @@ def _cmd_family(args) -> int:
         ],
         "scope_note": SCOPE_NOTE,
     }
-    _emit(payload, args)
-    return 1 if (args.n >= 4 and below) else 0
+    return payload, 1 if (args.n >= 4 and below) else 0
 
 
-def _cmd_sharpness(args) -> int:
+def _cmd_sharpness(args) -> tuple[dict, int]:
     from .matrices import matrix_to_json
     from .poly import poly_to_json
     from .roots import silver_ratio_squared
@@ -406,11 +403,9 @@ def _cmd_sharpness(args) -> int:
                     "normalized": ex.normalized.decimal(),
                 }
             )
-        payload = {"table": rows, "limit": silver_ratio_squared(tol).decimal(), "scope_note": SCOPE_NOTE}
-        _emit(payload, args)
-        return 0
+        return {"table": rows, "limit": silver_ratio_squared(tol).decimal(), "scope_note": SCOPE_NOTE}, 0
     ex = build_example(args.k, tol)
-    payload = {
+    return {
         "k": ex.k,
         "p_k": ex.p_k,
         "q_k": ex.q_k,
@@ -419,17 +414,14 @@ def _cmd_sharpness(args) -> int:
         "root": ex.root.to_json(),
         "normalized": ex.normalized.to_json(),
         "exceeds_bound": True,  # build_example certifies this
-    }
-    _emit(payload, args)
-    return 0
+    }, 0
 
 
-def _cmd_traintrack(args) -> int:
+def _cmd_traintrack(args) -> tuple[dict, int]:
     from .traintrack import track_from_json, track_report
 
     track = _parse_json_arg(args.file, track_from_json, "train track")
-    _emit(track_report(track), args)
-    return 0
+    return track_report(track), 0
 
 
 def _check_threads(threads: int) -> None:
@@ -447,7 +439,7 @@ def _class_json(c) -> dict:
     }
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[dict, int]:
     from .matrices import matrix_to_json
     from .roots import silver_ratio_squared
     from .search import SearchConfig, run_search
@@ -471,11 +463,10 @@ def _cmd_search(args) -> int:
         "bound": silver_ratio_squared(args.tol).decimal(),
         "scope_note": result.scope_note,
     }
-    _emit(payload, args)
-    return 1 if (args.n >= 4 and result.violations) else 0
+    return payload, 1 if (args.n >= 4 and result.violations) else 0
 
 
-def _cmd_repro(args) -> int:
+def _cmd_repro(args) -> tuple[dict, int]:
     from . import repro
 
     _check_threads(args.threads)
@@ -483,8 +474,7 @@ def _cmd_repro(args) -> int:
         payload = repro.thm_main(args.tol, args.threads)
     else:
         payload = repro.set_theorem(args.tol)
-    _emit(payload, args)
-    return 0 if payload["pass"] else 1
+    return payload, 0 if payload["pass"] else 1
 
 
 # -- parser ---------------------------------------------------------------
@@ -566,7 +556,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(payload, args)
+        return code
     except (InputError, OSError, BudgetExceededError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

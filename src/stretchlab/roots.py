@@ -373,17 +373,22 @@ def _sturm_largest_root(p: IntPolynomial, tol: Fraction) -> RootEnclosure:
 def largest_root_above_one(p: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEnclosure | None:
     """``largest_real_root(p, tol)`` when p has a real root above 1, else None.
 
-    For a monic p with p(0) < 0 and one coefficient sign change, p(1) < 0
-    decides whether the root exists; for any other p a Sturm count on
-    (1, CauchyBound] does.  The enclosure is ``largest_real_root``'s own, so
-    asking first changes no certificate.  p must be nonconstant.
+    The enclosure decides: the root lies above 1 if lo >= 1, not if hi <= 1,
+    and otherwise iff the certificate, nonzero at lo with one root in
+    (lo, hi), has its sign at lo also at 1.  p must be nonconstant.
     """
-    if _one_sign_change(p):
-        if sum(p.coeffs) >= 0:
-            return None
-    elif real_roots_in_interval(p, 1, cauchy_root_bound(p)) == 0:
+    if p.degree() < 1:
+        raise ValueError("a root above 1 needs a nonconstant polynomial")
+    try:
+        root = largest_real_root(p, tol)
+    except NoRealRootError:
         return None
-    return largest_real_root(p, tol)
+    if root.lo >= 1:
+        return root
+    if root.hi <= 1:
+        return None
+    cert = root.polynomial
+    return root if cert.sign_at(1) == cert.sign_at(root.lo) else None
 
 
 def _common_root(p: IntPolynomial, q: IntPolynomial, lo: Fraction, hi: Fraction) -> bool:

@@ -12,7 +12,9 @@ results, enclosures included.
 
 ``compare_power_to_silver_squared`` is the interval comparator of the bound:
 powers of the enclosure against an enclosure of 3 + 2*sqrt(2).  The
-library's sign test must give the same side.
+library's sign test must give the same side.  ``largest_root_above_one``
+counts roots on (1, CauchyBound] before it isolates; the library reads the
+same answer off the one enclosure.
 """
 
 from __future__ import annotations
@@ -165,6 +167,16 @@ def sign_bisect(sf: IntPolynomial, lo: Fraction, hi: Fraction, tol: Fraction):
         else:
             hi = m
     return lo, hi
+
+
+def largest_root_above_one(p: IntPolynomial, tol: Fraction = DEFAULT_TOL):
+    """The library's ``largest_real_root(p, tol)`` when a Sturm count finds a
+    root in (1, CauchyBound], else None: count first, then isolate.  A bound
+    of 1 leaves no such interval: every root of c t^k is 0."""
+    bound = cauchy_root_bound(p)
+    if bound == 1 or real_roots_in_interval(p, 1, bound) == 0:
+        return None
+    return lib_largest_real_root(p, tol)
 
 
 def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:

@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, schemas, determinism of repro targets."""
 
+import contextlib
 import decimal
 import importlib
+import io
 import json
 import multiprocessing
 import os
@@ -25,7 +27,7 @@ import stretchlab.sharpness
 from conftest import all_track_fixtures
 from stretchlab import __version__
 from stretchlab.classify import STRIP_DEGREE_CAP
-from stretchlab.cli import _json_chunks, main
+from stretchlab.cli import _emit, _json_chunks, build_parser, main
 from stretchlab.curvegraph import GrowthRateError
 from stretchlab.errors import CheckFailed
 from stretchlab.matrices import (
@@ -747,19 +749,64 @@ def test_repro_thm_main_deterministic_across_threads(capsys):
     assert json.loads(out1)["pass"] is True
 
 
+#: The table goldens, each with the argv that printed it.
+GOLDEN_TABLES = [
+    (["family", "--n", "12"], "family_n12.json"),
+    (["family", "--scan", "5A1", "--n", "12"], "family_scan_5A1_n12.json"),
+    (["search", "--n", "3", "--max-entry", "2"], "search_n3_max2.json"),
+    (["sharpness", "--table", "2..12", "--format", "csv"], "sharpness_table_2_12.csv"),
+    (["search", "--n", "4", "--max-entry", "1"], "search_n4_max1.json"),
+]
+#: Every golden that holds one command's stdout; the repro tests above
+#: compare the last two.
+GOLDEN_COMMANDS = GOLDEN_TABLES + [
+    (["repro", "set-theorem"], "repro_set_theorem.json"),
+    (["repro", "thm-main"], "repro_thm_main.json"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, name",
-    [
-        (["family", "--n", "12"], "family_n12.json"),
-        (["family", "--scan", "5A1", "--n", "12"], "family_scan_5A1_n12.json"),
-        (["search", "--n", "3", "--max-entry", "2"], "search_n3_max2.json"),
-        (["sharpness", "--table", "2..12", "--format", "csv"], "sharpness_table_2_12.csv"),
-        (["search", "--n", "4", "--max-entry", "1"], "search_n4_max1.json"),
-    ],
+    GOLDEN_TABLES,
     ids=lambda x: x if isinstance(x, str) else None,
 )
 def test_tables_match_their_golden_bytes(argv, name, capsys):
     assert run_cli(capsys, *argv) == (0, (GOLDEN / name).read_text())
+
+
+def test_golden_commands_replayed_in_one_process(capfd):
+    # each command returns its report and writes nothing; rendered by the
+    # one writer, in order and then in reverse, warm caches change no byte
+    parser = build_parser()
+    for argv, name in GOLDEN_COMMANDS + GOLDEN_COMMANDS[::-1]:
+        args = parser.parse_args(argv)
+        payload, code = args.func(args)
+        assert capfd.readouterr() == ("", ""), argv
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _emit(payload, args)
+        assert (code, out.getvalue()) == (0, (GOLDEN / name).read_text()), argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["sharpness", "--k", "2", "--format", "csv"],
+            "error: csv format applies only to table-producing commands\n",
+        ),
+        (
+            ["classify", "--poly", '{"coeffs": ["-1", "-1", "1"]}', "--out", "{missing}/r.json"],
+            "error: [Errno 2] No such file or directory: '{missing}/r.json'\n",
+        ),
+    ],
+    ids=["csv-without-a-table", "out-in-a-missing-directory"],
+)
+def test_errors_raised_while_writing_exit_2(argv, message, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main([a.replace("{missing}", missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.replace("{missing}", missing)
 
 
 def test_repro_thm_main_builds_each_shared_input_once(monkeypatch, capsys):

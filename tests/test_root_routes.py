@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import poly_reference
+from conftest import random_polynomial
 from stretchlab import roots
 from stretchlab.families import ALL_FORMS, FamilyForm, _form_instances, instantiate
 from stretchlab.poly import IntPolynomial
@@ -159,10 +160,75 @@ def test_root_above_one_of_a_constant_is_an_error(p):
         largest_root_above_one(p)
 
 
+def assert_above_one_agrees(p: IntPolynomial, tol: Fraction) -> bool | None:
+    """The enclosure's answer against the count-then-isolate reference.
+
+    Returns the answer when the enclosure straddles 1 (lo < 1 < hi), where
+    only the certificate's signs decide, and None otherwise.
+    """
+    got = largest_root_above_one(p, tol)
+    expected = poly_reference.largest_root_above_one(p, tol)
+    assert (got is None) == (expected is None), (str(p), tol)
+    if got is not None:
+        assert got == expected == largest_real_root(p, tol), (str(p), tol)
+    try:
+        root = largest_real_root(p, tol)
+    except roots.NoRealRootError:
+        return None
+    return got is not None if root.lo < 1 < root.hi else None
+
+
 def test_root_above_one_agrees_with_the_sturm_count_on_family_forms():
     for p in one_sign_change_forms(9) + [random_one_sign_change(random.Random(s)) for s in range(200)]:
-        above = real_roots_in_interval(p, 1, cauchy_root_bound(p)) > 0
-        assert (largest_root_above_one(p, Fraction(1, 3)) is not None) == above, str(p)
+        assert_above_one_agrees(p, Fraction(1, 3))
+
+
+def test_root_above_one_on_general_polynomials():
+    rng = random.Random(32)
+    # t_c is t - c, tc is t + c, and t2_1 is t^2 + 1
+    t_1, t_2, t_3, t1, t2 = P((-1, 1)), P((-2, 1)), P((-3, 1)), P((1, 1)), P((2, 1))
+    t2_1 = P((1, 0, 1))
+    cases = [
+        # a root at exactly 1, simple and double: not above 1
+        t_1,
+        t_1 * t1,
+        t_1 * t2_1,
+        t_1 * P((-1, 2)),
+        t_1 * t_1,
+        t_1 * t_1 * t2,
+        t_1 * t_1 * P((-1, 2)),
+        # positive roots only in (0, 1)
+        P((1, -5, 6)),  # (2t - 1)(3t - 1)
+        P((-1, 1, 1)),  # root 0.618...
+        P((-3, 4)) * t2,
+        P((1, -9, 9)),  # roots 0.127..., 0.872...
+        # no positive root
+        t1,
+        t2_1,
+        P((2, 3, 1)),
+        P((5, 1, 0, 1)),
+        # several sign changes
+        t_2 * t_3 * t1,
+        P((-1, 4, 2, -4, 1)),
+        P((1, -3, 1)),  # roots 0.38..., 2.61...
+        P((-1, 3, -3, 1, 0, 1)),
+        # not square-free
+        t_2 * t_2 * t1,
+        P((-3, 0, 1)) * P((-3, 0, 1)),
+        t_1 * t_1 * t_1 * t_3,
+        P((-1, 2)) * P((-1, 2)) * t_3 * t_3,
+        P((-1, -1, 1)) * P((-1, -1, 1)) * t2_1,
+    ]
+    cases += [random_polynomial(rng, 8, 5) for _ in range(300)]
+    straddled = set()
+    for p in cases:
+        if p.degree() < 1:
+            continue
+        # a coarse tol leaves 1 inside many enclosures, so the certificate's
+        # signs at 1 and lo must decide there
+        for tol in (DEFAULT_TOL, Fraction(1, 3), Fraction(16)):
+            straddled.add(assert_above_one_agrees(p, tol))
+    assert straddled == {None, False, True}
 
 
 def test_integer_dyadic_bisection_matches_fraction_midpoints():
