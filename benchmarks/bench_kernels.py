@@ -46,7 +46,16 @@ on the sharpness roots at e = 2k = 100, 400 and 800, best of five; their
 sides are asserted equal.  The curve-graph row times ``curve_graph_report``
 on the 4 x 4 matrix of 4s (2,160 curves), whose edges come from class
 pairs, and the same report with the edges listed from the pairwise
-definition; the reports are asserted equal.
+definition; the reports are asserted equal.  The curve-graph walk rows time
+``CurveGraph.edges`` and ``clique_polynomial`` on the n x n 0/1 matrix with
+0 -> i, i -> 0 and i -> j for 0 < i < j (2^(n-1) - 1 classes, all through
+vertex 0, no edges), n = 11 and 13 (``--quick``: 11); the edges are asserted
+equal to the pairwise definition at n = 11, the clique polynomial to the
+reversed char poly.  The normalized-radius row times
+``normalized_spectral_radius`` on [[10^1500, 1, 0], [0, 0, 1], [1, 0, 0]]
+(``--quick``: 10^300), which jumps the refinement rounds the power cannot
+end, against the round-by-round loop of ``tests/matrix_reference.py``; the
+intervals are asserted equal.
 
 The start-up rows time fresh interpreters: a bare ``python -c pass``,
 ``import stretchlab.cli``, one small ``classify``, ``matrix``,
@@ -83,12 +92,14 @@ from stretchlab import _kernels, cli, roots
 from stretchlab.classify import parity_condition, strip_cyclotomic
 from stretchlab.curvegraph import (
     CurveGraph,
+    clique_polynomial,
+    curve_graph,
     curve_graph_report,
     cycle_classes,
     verify_clique_identity,
 )
 from stretchlab.families import ALL_FORMS, _form_instances, enumerate_admissible, instantiate
-from stretchlab.matrices import IntMatrix, char_poly
+from stretchlab.matrices import IntMatrix, char_poly, normalized_spectral_radius, spectral_radius
 from stretchlab.poly import (
     IntPolynomial,
     cyclotomic,
@@ -111,7 +122,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import poly_reference  # noqa: E402
 from conftest import bigon_track, polygon_track  # noqa: E402
 from cyclotomic_reference import moebius_cyclotomic, strip_by_trial_division  # noqa: E402
-from matrix_reference import pairwise_edges, symmetric_square  # noqa: E402
+from matrix_reference import (  # noqa: E402
+    pairwise_edges,
+    round_by_round_power,
+    symmetric_square,
+)
 from search_reference import brute_force_search, reference_scan_orbits  # noqa: E402
 
 
@@ -145,6 +160,11 @@ def best_of(runs: int, fn):
         t, out = timed(fn)
         times.append(t)
     return min(times), out
+
+
+def through_zero(n: int) -> IntMatrix:
+    """The 0/1 matrix with 0 -> i, i -> 0 and i -> j for 0 < i < j: every cycle meets 0."""
+    return IntMatrix([[int(i == 0 < j or j == 0 < i or 0 < i < j) for j in range(n)] for i in range(n)])
 
 
 def pairwise_product_poly(chi):
@@ -230,7 +250,7 @@ def main():
         ),
         (
             f"cycle classes 4x4 x{len(clique_mats)}",
-            lambda: [cycle_classes(m, 10**5) for m in clique_matrices],
+            lambda: [cycle_classes(m) for m in clique_matrices],
         ),
         (
             f"digraph structure 6x6 x{n_mats}",
@@ -381,6 +401,31 @@ def main():
     assert report == reference, "class-pair edges differ from the pairwise definition"
     name = f"4x4 of 4s ({len(report['cycles'])} curves)"
     print(f"{name:<38} {t_classes:>9.3f}s {t_pairs:>9.3f}s {t_pairs / t_classes:>8.1f}x")
+
+    print(f"\n{'curve-graph walk':<38} {'edges':>10} {'clique':>10} {'pairwise':>10}")
+    for n in (11,) if args.quick else (11, 13):
+        m = through_zero(n)
+        g = curve_graph(m)
+        t_edges, edges = timed(g.edges)
+        t_clique, q = timed(lambda: clique_polynomial(g))
+        assert q == char_poly(m).reverse(), f"the clique identity fails at n={n}"
+        pairwise = "-"
+        if n == 11:
+            t_pairs, reference = timed(lambda: pairwise_edges(g))
+            assert edges == reference, "class-pair edges differ from the pairwise definition"
+            pairwise = f"{t_pairs:>9.3f}s"
+        name = f"through vertex 0, n={n} ({len(g.classes)} classes)"
+        print(f"{name:<38} {t_edges:>9.3f}s {t_clique:>9.3f}s {pairwise:>10}")
+
+    print(f"\n{'normalized_spectral_radius':<38} {'jumped':>10} {'rounds':>10} {'ratio':>9}")
+    e = 300 if args.quick else 1500
+    m = IntMatrix([[10**e, 1, 0], [0, 0, 1], [1, 0, 0]])
+    rho = spectral_radius(m)
+    t_jump, jumped = timed(lambda: normalized_spectral_radius(m, DEFAULT_TOL, rho))
+    t_rounds, reference = timed(lambda: round_by_round_power(m.n, rho, DEFAULT_TOL))
+    assert jumped == reference, "the jumped rounds differ from the round-by-round loop"
+    name = f"[[10^{e},1,0],[0,0,1],[1,0,0]]"
+    print(f"{name:<38} {t_jump:>9.3f}s {t_rounds:>9.3f}s {t_rounds / t_jump:>8.1f}x")
 
     print(f"\n{'track_report':<38} {'time':>10} {'weights':>8} {'radical':>8}")
     for n in (10, 20) if args.quick else (10, 20, 30):

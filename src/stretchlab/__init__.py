@@ -57,7 +57,6 @@ _EXPORTS = {
         "curve_graph",
         "curve_graph_shape",
         "growth_rate",
-        "simple_cycles",
         "verify_clique_identity",
     ),
     "families": (
@@ -90,7 +89,6 @@ _EXPORTS = {
         "compare_enclosures",
         "largest_real_root",
         "real_roots_in_interval",
-        "silver_ratio_squared",
         "unit_circle_root_count",
     ),
     "search": ("SearchConfig", "SearchResult", "run_search", "witness_check"),

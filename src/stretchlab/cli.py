@@ -329,7 +329,7 @@ def _cmd_curve_graph(args) -> tuple[dict, int]:
 
 def _cmd_family(args) -> tuple[dict, int]:
     from .families import ALL_FORMS, SCAN_DEGREE_CAP, enumerate_admissible, monotonicity_scan
-    from .roots import silver_ratio_squared
+    from .roots import SILVER_SQUARED_DECIMAL
 
     if args.d is not None and not args.scan:
         raise InputError("--d applies only with --scan")
@@ -361,14 +361,13 @@ def _cmd_family(args) -> tuple[dict, int]:
             f"valid tags: {','.join(ALL_FORMS)} or all"
         )
     reports = enumerate_admissible(args.n, forms, args.tol)
-    threshold = silver_ratio_squared(args.tol)
     below = [r for r in reports if r.side < 0]
     payload = {
         "n": args.n,
         "forms": list(forms),
         "count": len(reports),
         "minimum": reports[0].normalized.decimal() if reports else None,
-        "bound": threshold.decimal(),
+        "bound": SILVER_SQUARED_DECIMAL,
         "below_bound": [str(r.polynomial) for r in below],
         "table": [
             {
@@ -385,7 +384,7 @@ def _cmd_family(args) -> tuple[dict, int]:
 def _cmd_sharpness(args) -> tuple[dict, int]:
     from .matrices import matrix_to_json
     from .poly import poly_to_json
-    from .roots import silver_ratio_squared
+    from .roots import SILVER_SQUARED_DECIMAL
     from .sharpness import SHARPNESS_CAP, build_example
 
     tol = args.tol
@@ -403,7 +402,7 @@ def _cmd_sharpness(args) -> tuple[dict, int]:
                     "normalized": ex.normalized.decimal(),
                 }
             )
-        return {"table": rows, "limit": silver_ratio_squared(tol).decimal(), "scope_note": SCOPE_NOTE}, 0
+        return {"table": rows, "limit": SILVER_SQUARED_DECIMAL, "scope_note": SCOPE_NOTE}, 0
     ex = build_example(args.k, tol)
     return {
         "k": ex.k,
@@ -441,7 +440,7 @@ def _class_json(c) -> dict:
 
 def _cmd_search(args) -> tuple[dict, int]:
     from .matrices import matrix_to_json
-    from .roots import silver_ratio_squared
+    from .roots import SILVER_SQUARED_DECIMAL
     from .search import SearchConfig, run_search
 
     cfg = SearchConfig(n=args.n, max_entry=args.max_entry, tol=args.tol)
@@ -460,7 +459,7 @@ def _cmd_search(args) -> tuple[dict, int]:
             "matrix": matrix_to_json(result.minimum.least_matrix)["rows"],
         },
         "violations": [_class_json(c) for c in result.violations],
-        "bound": silver_ratio_squared(args.tol).decimal(),
+        "bound": SILVER_SQUARED_DECIMAL,
         "scope_note": result.scope_note,
     }
     return payload, 1 if (args.n >= 4 and result.violations) else 0

@@ -11,7 +11,9 @@ Enumeration works on multiplicity-compressed cycle classes (same vertex
 rotation, product of entry multiplicities); parallel copies of a class are
 pairwise non-adjacent, so a clique picks at most one and contributes the
 class multiplicity as a factor.  Expansion to individual curves happens only
-in the public cycle listing.
+in ``curve_graph``'s cycle listing.  ``DEFAULT_CYCLE_CAP`` bounds the curves,
+``DEFAULT_CLIQUE_GUARD`` the class cliques and the listed edges; both are
+read at call time.
 """
 
 from __future__ import annotations
@@ -62,23 +64,24 @@ class CurveGraph(NamedTuple):
 
         Each class lists its curves consecutively, and two curves are
         adjacent iff their classes' vertex masks are disjoint, so the pairs
-        come from class pairs.  Their count, the sum of m_a * m_b over
-        disjoint class pairs, is checked against ``DEFAULT_CLIQUE_GUARD``
-        (an edge is a clique of two curves) before any pair is listed.
+        come from class pairs, each tested once.  Class by class, the
+        m_a * m_b edges to its later disjoint classes join a running count,
+        checked against ``DEFAULT_CLIQUE_GUARD`` (an edge is a clique of two
+        curves) before they are listed, so no more pairs than the guard are
+        ever held.
         """
-        classes = self.classes
-        starts = list(itertools.accumulate((m for _, _, m in classes), initial=0))
-
-        def later(a: int) -> list[int]:
-            mask = classes[a][0]
-            return [b for b in range(a + 1, len(classes)) if not mask & classes[b][0]]
-
-        count = sum(m * sum(classes[b][2] for b in later(a)) for a, (_, _, m) in enumerate(classes))
-        if count > DEFAULT_CLIQUE_GUARD:
-            raise CapExceeded(f"{count} curve-graph edges exceed the guard {DEFAULT_CLIQUE_GUARD}")
+        masks = [mask for mask, _, _ in self.classes]
+        starts = list(itertools.accumulate((m for _, _, m in self.classes), initial=0))
         pairs: list[tuple[int, int]] = []
-        for a in range(len(classes)):
-            targets = [j for b in later(a) for j in range(starts[b], starts[b + 1])]
+        for a, mask in enumerate(masks):
+            targets = [
+                j
+                for b in range(a + 1, len(masks))
+                if not mask & masks[b]
+                for j in range(starts[b], starts[b + 1])
+            ]
+            if len(pairs) + (starts[a + 1] - starts[a]) * len(targets) > DEFAULT_CLIQUE_GUARD:
+                raise CapExceeded(f"more than {DEFAULT_CLIQUE_GUARD} curve-graph edges")
             pairs.extend((i, j) for i in range(starts[a], starts[a + 1]) for j in targets)
         return pairs
 
@@ -86,15 +89,14 @@ class CurveGraph(NamedTuple):
         return tuple(c.weight for c in self.cycles)
 
 
-def cycle_classes(
-    a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP
-) -> list[tuple[int, tuple[int, ...], int]]:
+def cycle_classes(a: IntMatrix) -> list[tuple[int, tuple[int, ...], int]]:
     """Vertex-simple directed cycles of a nonnegative matrix, up to rotation.
 
     Returns (vertex mask, canonical vertex tuple, multiplicity) triples,
     multiplicity being the product of entry values along the cycle; the
-    expanded curve count (sum of multiplicities) is capped by ``cap``.
-    Canonical representative: rotation starting at the smallest vertex.
+    expanded curve count (sum of multiplicities) is capped by
+    ``DEFAULT_CYCLE_CAP``.  Canonical representative: rotation starting at
+    the smallest vertex.
     """
     if not a.is_nonnegative():
         raise ValueError("cycle enumeration needs a nonnegative matrix")
@@ -110,8 +112,8 @@ def cycle_classes(
         if closing:
             m = mult * closing
             total += m
-            if total > cap:
-                raise CapExceeded(f"cycle cap {cap} exceeded")
+            if total > DEFAULT_CYCLE_CAP:
+                raise CapExceeded(f"cycle cap {DEFAULT_CYCLE_CAP} exceeded")
             classes.append((mask, tuple(path), m))
         for v in range(start + 1, n):
             if rows[u][v] and not mask >> v & 1:
@@ -126,14 +128,11 @@ def cycle_classes(
     return classes
 
 
-def simple_cycles(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> list[SimpleCycle]:
-    """All vertex-simple directed cycles, parallel edges expanded, sorted by
+def curve_graph(a: IntMatrix) -> CurveGraph:
+    """The curve graph of a nonnegative matrix; its cycles are every
+    vertex-simple directed cycle, parallel edges expanded, sorted by
     (weight, vertex rotation, edge choices)."""
-    return list(curve_graph(a, cap).cycles)
-
-
-def curve_graph(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> CurveGraph:
-    classes = tuple(cycle_classes(a, cap))
+    classes = tuple(cycle_classes(a))
     cycles: list[SimpleCycle] = []
     for _, verts, _ in classes:
         ranges = [
@@ -144,12 +143,13 @@ def curve_graph(a: IntMatrix, cap: int = DEFAULT_CYCLE_CAP) -> CurveGraph:
     return CurveGraph(n=a.n, cycles=tuple(cycles), classes=classes)
 
 
-def _clique_coefficients(classes, n: int, guard: int) -> tuple[int, ...]:
+def _clique_coefficients(classes, n: int) -> tuple[int, ...]:
     """Clique polynomial coefficients (low to high) over cycle classes.
 
     A clique picks pairwise vertex-disjoint classes; parallel curves inside
     one class multiply the count.  Each clique contributes
-    (-1)^size * (product of multiplicities) * t^(total weight).
+    (-1)^size * (product of multiplicities) * t^(total weight).  More than
+    ``DEFAULT_CLIQUE_GUARD`` class cliques raise ``CapExceeded``.
     """
     coeffs = [0] * (n + 1)
     coeffs[0] = 1
@@ -163,8 +163,8 @@ def _clique_coefficients(classes, n: int, guard: int) -> tuple[int, ...]:
             if mask & used:
                 continue
             count += 1
-            if count > guard:
-                raise CapExceeded(f"clique guard {guard} exceeded")
+            if count > DEFAULT_CLIQUE_GUARD:
+                raise CapExceeded(f"clique guard {DEFAULT_CLIQUE_GUARD} exceeded")
             coeffs[weight + w] += sign * mult * m
             rec(idx + 1, used | mask, -sign, weight + w, mult * m)
 
@@ -172,34 +172,24 @@ def _clique_coefficients(classes, n: int, guard: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def clique_polynomial(
-    g: CurveGraph, guard: int = DEFAULT_CLIQUE_GUARD
-) -> IntPolynomial:
+def clique_polynomial(g: CurveGraph) -> IntPolynomial:
     """Q(t) = 1 + sum over nonempty cliques K of (-1)^|K| t^(sum of weights)."""
-    return IntPolynomial(_clique_coefficients(g.classes, g.n, guard))
+    return IntPolynomial(_clique_coefficients(g.classes, g.n))
 
 
-def verify_clique_identity(
-    a: IntMatrix,
-    cap: int = DEFAULT_CYCLE_CAP,
-    guard: int = DEFAULT_CLIQUE_GUARD,
-) -> bool:
+def verify_clique_identity(a: IntMatrix) -> bool:
     """Exact check of Q(t) = t^n chi_A(1/t)."""
-    q = _clique_coefficients(cycle_classes(a, cap), a.n, guard)
+    q = _clique_coefficients(cycle_classes(a), a.n)
     return IntPolynomial(q) == char_poly(a).reverse()
 
 
-def growth_rate(g: CurveGraph, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Reciprocal of the smallest positive root of the clique polynomial.
+def growth_rate(q: IntPolynomial, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
+    """Reciprocal of the smallest positive root of the clique polynomial q.
 
     That reciprocal is the largest real root of the reversed polynomial, so
-    the certificate is a plain largest-root enclosure.  Errors when Q has no
+    the certificate is a plain largest-root enclosure.  Errors when q has no
     root in (0, 1).
     """
-    return _growth_rate(clique_polynomial(g), tol)
-
-
-def _growth_rate(q: IntPolynomial, tol: Fraction) -> RootEnclosure:
     rev = q.reverse()  # q(0) = 1, so this preserves the degree
     if rev.degree() < 1:
         raise GrowthRateError("no cycles: growth rate undefined")
@@ -222,11 +212,8 @@ class GraphShape(NamedTuple):
     weights: tuple[int, ...] = ()
 
 
-def curve_graph_shape(g: CurveGraph) -> GraphShape:
-    return _shape(g, g.edges())
-
-
-def _shape(g: CurveGraph, edges: list[tuple[int, int]]) -> GraphShape:
+def curve_graph_shape(g: CurveGraph, edges: list[tuple[int, int]]) -> GraphShape:
+    """The shape of g, whose edge list ``g.edges()`` the caller holds."""
     k = len(g.cycles)
     if k >= 1 and not edges:
         return GraphShape(kind="nA1", weights=tuple(sorted(g.weights())))
@@ -244,9 +231,9 @@ def curve_graph_report(a: IntMatrix, tol: Fraction = DEFAULT_TOL) -> dict:
     q = clique_polynomial(g)
     chi = char_poly(a)
     edges = g.edges()
-    shape = _shape(g, edges)
+    shape = curve_graph_shape(g, edges)
     try:
-        growth = _growth_rate(q, tol)
+        growth = growth_rate(q, tol)
     except GrowthRateError:
         growth = None
     return {

@@ -196,14 +196,29 @@ def normalized_spectral_radius(
 ) -> ValueInterval:
     """rho(A)^n by interval arithmetic, refined until the width is <= tol.
 
+    A round shrinks the enclosure 256-fold and re-powers it.  As lo only
+    grows and hi^n - lo^n >= n lo^(n-1) (hi - lo), no round r with
+    n lo^(n-1) width / 256^r > tol can be the last; one ``refined`` call
+    jumps them through the same bisection, unless it lands on an exact
+    (integer) root and returns a narrower interval: then one round is taken.
+
     ``enclosure`` is the result of ``spectral_radius(a)`` when the caller
     already holds it.
     """
     tol = Fraction(tol)
     if enclosure is None:
         enclosure = spectral_radius(a, tol)
-    powered = enclosure.powered(a.n)
+    n = a.n
+    powered = enclosure.powered(n)
     while powered.width > tol:
-        enclosure = enclosure.refined(enclosure.width / 256)
-        powered = enclosure.powered(a.n)
+        floor = n * enclosure.lo ** (n - 1) * enclosure.width
+        shrink = 256
+        while floor > tol * shrink:
+            shrink *= 256
+        target = enclosure.width / shrink
+        jumped = enclosure.refined(target)
+        if shrink > 256 and jumped.width != target:
+            jumped = enclosure.refined(enclosure.width / 256)
+        enclosure = jumped
+        powered = enclosure.powered(n)
     return powered

@@ -17,7 +17,8 @@ exact comparators have one shape: signs at the enclosure ends decide an
 order, one gcd of certificates decides equality, and otherwise they refine,
 up to ``COMPARE_ROUNDS`` rounds.
 ``compare_power_to_silver_squared`` reads the signs of t^(2e) - 6t^e + 1,
-so it needs no enclosure of the threshold.  Nothing in this module touches
+so it needs no enclosure of the threshold, and reports print the threshold
+as the constant ``SILVER_SQUARED_DECIMAL``.  Nothing in this module touches
 floating point except ``ValueInterval.__float__``, a convenience for callers.
 """
 
@@ -41,8 +42,9 @@ DEFAULT_TOL = Fraction(1, 2**40)
 #: a 2-core Xeon, CPython 3.11).
 MIN_TOL = Fraction(1, 2**256)
 
-#: t^2 - 6t + 1; its larger root is the squared silver ratio 3 + 2*sqrt(2).
-SILVER_SQUARED_POLY = IntPolynomial((1, -6, 1))
+#: The bound 3 + 2*sqrt(2) = 5.8284271247..., the squared silver ratio, to
+#: 10 significant digits (correctly rounded), as reports print it.
+SILVER_SQUARED_DECIMAL = "5.828427125"
 
 #: The word-size prime of the square-free proof on the one-sign-change route.
 SQUARE_FREE_PRIME = 2**31 - 1
@@ -421,11 +423,6 @@ def compare_enclosures(e1: RootEnclosure, e2: RootEnclosure) -> int:
         a = a.refined(tol)
         b = b.refined(tol)
     raise SeparationError("enclosures neither separate nor share a certified root")
-
-
-def silver_ratio_squared(tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Enclosure of 3 + 2*sqrt(2), the classification threshold, from t^2 - 6t + 1."""
-    return largest_real_root(SILVER_SQUARED_POLY, tol)
 
 
 def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:

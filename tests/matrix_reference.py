@@ -13,12 +13,19 @@ as tuples of rows.  ``matmul`` multiplies such tuples exactly.
 ``pairwise_edges`` lists the edges of a curve graph by definition, one
 vertex-set test per pair of curves, where ``CurveGraph.edges`` reads them
 off pairs of cycle classes.
+
+``round_by_round_power`` is the refinement loop ``normalized_spectral_radius``
+jumps through: shrink the enclosure 256-fold and re-power it, one round at
+a time, until the power is narrow enough.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from stretchlab.curvegraph import CurveGraph
 from stretchlab.matrices import IntMatrix
+from stretchlab.roots import RootEnclosure, ValueInterval
 
 
 def symmetric_square(a: IntMatrix) -> IntMatrix:
@@ -57,3 +64,12 @@ def pairwise_edges(g: CurveGraph) -> list[tuple[int, int]]:
         for j in range(i + 1, len(sets))
         if not sets[i] & sets[j]
     ]
+
+
+def round_by_round_power(n: int, enclosure: RootEnclosure, tol: Fraction) -> ValueInterval:
+    """x^n over the enclosure of x, refined one 256-fold round at a time to width <= tol."""
+    powered = enclosure.powered(n)
+    while powered.width > tol:
+        enclosure = enclosure.refined(enclosure.width / 256)
+        powered = enclosure.powered(n)
+    return powered

@@ -25,7 +25,6 @@ from fractions import Fraction
 from stretchlab.poly import DivisionResult, IntPolynomial
 from stretchlab.roots import (
     DEFAULT_TOL,
-    SILVER_SQUARED_POLY,
     RootEnclosure,
     cauchy_root_bound,
     real_roots_in_interval,
@@ -189,7 +188,7 @@ def compare_power_to_silver_squared(base: RootEnclosure, exponent: int) -> int:
     while the first enclosures overlap; the position against 1 then tells
     3 + 2*sqrt(2) from 3 - 2*sqrt(2).
     """
-    threshold = lib_largest_real_root(SILVER_SQUARED_POLY)
+    threshold = lib_largest_real_root(IntPolynomial((1, -6, 1)))  # 3 +- 2*sqrt(2)
     b = base
     for round_ in range(13):  # the first test and 12 refinements
         powered = b.powered(exponent)

@@ -37,7 +37,13 @@ from stretchlab.matrices import (
     spectral_radius,
 )
 from stretchlab.poly import InexactDivisionError, IntPolynomial
-from stretchlab.roots import MIN_TOL, NoRealRootError, RootEnclosure, ValueInterval
+from stretchlab.roots import (
+    MIN_TOL,
+    SILVER_SQUARED_DECIMAL,
+    NoRealRootError,
+    RootEnclosure,
+    ValueInterval,
+)
 from stretchlab.sharpness import SharpnessInvariantError, expected_char_poly
 from stretchlab.traintrack import track_to_json
 
@@ -268,6 +274,22 @@ def test_family_command(capsys):
     assert payload["count"] == 4
     assert payload["minimum"] == "6.854101966"
     assert payload["below_bound"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["family", "--n", "6"], "bound"),
+        (["search", "--n", "3", "--max-entry", "1"], "bound"),
+        (["sharpness", "--table", "2..3"], "limit"),
+    ],
+    ids=["family", "search", "sharpness-table"],
+)
+def test_printed_bound_is_the_constant_at_any_tol(argv, key, capsys):
+    # an enclosure's midpoint at --tol 1 read 5.6875 (family) or 5.90625 (search)
+    for tol in ("1", "1/2", "1/1000"):
+        main([*argv, "--tol", tol])
+        assert json.loads(capsys.readouterr().out)[key] == SILVER_SQUARED_DECIMAL == "5.828427125"
 
 
 @pytest.mark.parametrize("forms", ["bogus", "2A1,", ""], ids=["unknown", "trailing-comma", "empty"])

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from matrix_reference import pairwise_edges
+from stretchlab import curvegraph
 from stretchlab.cli import main
 from stretchlab.curvegraph import (
     DEFAULT_CLIQUE_GUARD,
@@ -17,7 +18,6 @@ from stretchlab.curvegraph import (
     curve_graph_report,
     curve_graph_shape,
     growth_rate,
-    simple_cycles,
     verify_clique_identity,
 )
 from stretchlab.errors import CapExceeded
@@ -31,25 +31,26 @@ REMARK = IntMatrix([[0, 0, 1, 1], [1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]])
 
 
 def test_simple_cycles_examples():
-    cycles = simple_cycles(FIB)
+    cycles = curve_graph(FIB).cycles
     assert [(c.vertices, c.weight) for c in cycles] == [((0,), 1), ((0, 1), 2)]
-    doubled = simple_cycles(IntMatrix([[2]]))
+    doubled = curve_graph(IntMatrix([[2]])).cycles
     assert len(doubled) == 2
     assert {c.edge_choices for c in doubled} == {(0,), (1,)}
-    assert simple_cycles(IntMatrix([[0, 0], [0, 0]])) == []
+    assert curve_graph(IntMatrix([[0, 0], [0, 0]])).cycles == ()
 
 
 def test_simple_cycles_parallel_expansion():
-    cycles = simple_cycles(IntMatrix([[0, 2], [3, 0]]))
+    cycles = curve_graph(IntMatrix([[0, 2], [3, 0]])).cycles
     # one class of weight 2 with 2 * 3 = 6 parallel curves
     assert len(cycles) == 6
     assert all(c.vertices == (0, 1) for c in cycles)
     assert len({c.edge_choices for c in cycles}) == 6
 
 
-def test_cycle_cap_guard():
+def test_cycle_cap_guard(monkeypatch):
+    monkeypatch.setattr(curvegraph, "DEFAULT_CYCLE_CAP", 10)
     with pytest.raises(CapExceeded):
-        simple_cycles(IntMatrix([[3] * 4] * 4), cap=10)
+        curve_graph(IntMatrix([[3] * 4] * 4))
 
 
 def test_clique_polynomial_examples():
@@ -80,23 +81,28 @@ def test_clique_identity_random_sample():
         assert verify_clique_identity(m)
 
 
-def test_clique_guard():
+def test_clique_guard(monkeypatch):
     g = curve_graph(IntMatrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))
+    monkeypatch.setattr(curvegraph, "DEFAULT_CLIQUE_GUARD", 2)
     with pytest.raises(CapExceeded):
-        clique_polynomial(g, guard=2)
+        clique_polynomial(g)
+
+
+def growth_of(m: IntMatrix):
+    return growth_rate(clique_polynomial(curve_graph(m)))
 
 
 def test_growth_rate_examples():
-    assert abs(float(growth_rate(curve_graph(FIB))) - 1.618033988749895) < 1e-9
-    assert abs(float(growth_rate(curve_graph(IntMatrix([[2]])))) - 2.0) < 1e-12
-    assert abs(float(growth_rate(curve_graph(REMARK))) - 1.618033988749895) < 1e-9
+    assert abs(float(growth_of(FIB)) - 1.618033988749895) < 1e-9
+    assert abs(float(growth_of(IntMatrix([[2]]))) - 2.0) < 1e-12
+    assert abs(float(growth_of(REMARK)) - 1.618033988749895) < 1e-9
 
 
 def test_growth_rate_errors():
     with pytest.raises(GrowthRateError):
-        growth_rate(curve_graph(IntMatrix([[0]])))  # no cycles at all
+        growth_of(IntMatrix([[0]]))  # no cycles at all
     with pytest.raises(GrowthRateError):
-        growth_rate(curve_graph(IntMatrix([[1]])))  # growth exactly 1
+        growth_of(IntMatrix([[1]]))  # growth exactly 1
 
 
 def test_growth_rate_intersects_spectral_radius():
@@ -108,25 +114,30 @@ def test_growth_rate_intersects_spectral_radius():
         if not is_primitive(m).primitive:
             continue
         rho = spectral_radius(m)
-        gr = growth_rate(curve_graph(m))
+        gr = growth_of(m)
         assert max(rho.lo, gr.lo) <= min(rho.hi, gr.hi), m.rows
         found += 1
 
 
+def shape_of(m: IntMatrix):
+    g = curve_graph(m)
+    return curve_graph_shape(g, g.edges())
+
+
 def test_shape_detection():
-    assert curve_graph_shape(curve_graph(FIB)).kind == "nA1"
-    assert curve_graph_shape(curve_graph(FIB)).weights == (1, 2)
-    shape = curve_graph_shape(curve_graph(REMARK))
+    assert shape_of(FIB).kind == "nA1"
+    assert shape_of(FIB).weights == (1, 2)
+    shape = shape_of(REMARK)
     assert shape.kind == "nA1" and shape.weights == (2, 3, 3, 4)
     # three disjoint loops form a triangle, not 3A1
-    assert curve_graph_shape(curve_graph(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))).kind == "other"
+    assert shape_of(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).kind == "other"
 
 
 def test_astar2_shape():
     # loops at both vertices of a 2-cycle: the two loops are disjoint,
     # each meets the 2-cycle, giving A*2 with weights (1, 1, 2)
     g = curve_graph(IntMatrix([[1, 1], [1, 1]]))
-    shape = curve_graph_shape(g)
+    shape = curve_graph_shape(g, g.edges())
     assert shape.kind == "A*2" and shape.weights == (1, 1, 2)
     q = clique_polynomial(g)
     # Q = 1 - t^a - t^b - t^c + t^(a+b)
@@ -139,7 +150,7 @@ def test_shape_q_form_consistency():
         n = rng.randint(1, 4)
         m = IntMatrix([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
         g = curve_graph(m)
-        shape = curve_graph_shape(g)
+        shape = curve_graph_shape(g, g.edges())
         q = clique_polynomial(g)
         if shape.kind == "nA1":
             # no positive non-constant terms; one negative monomial per weight value
@@ -158,7 +169,7 @@ def test_shape_q_form_consistency():
 
 def test_negative_matrix_rejected():
     with pytest.raises(ValueError):
-        simple_cycles(IntMatrix([[-1]]))
+        curve_graph(IntMatrix([[-1]]))
     with pytest.raises(ValueError):
         verify_clique_identity(IntMatrix([[-1]]))
 
@@ -229,3 +240,25 @@ def test_curve_graph_refuses_more_edges_than_the_guard(capsys):
     assert len(at.edges()) == DEFAULT_CLIQUE_GUARD
     with pytest.raises(CapExceeded):
         curve_graph(IntMatrix([[1001, 0], [0, 1000]])).edges()
+
+
+def test_edges_match_the_pairwise_definition_on_random_matrices():
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        g = curve_graph(IntMatrix([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
+        assert g.edges() == pairwise_edges(g)
+
+
+def test_edge_guard_trips_partway_through_the_walk(monkeypatch):
+    # loops at 0 (1 curve), 1 (2 curves) and 2, and the 2-cycle (2, 3): the
+    # walk counts 4 edges at the first class and 8 after the second
+    g = curve_graph(IntMatrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]]))
+    edges = pairwise_edges(g)
+    assert len(g.cycles) == 5 and len(edges) == 8
+    monkeypatch.setattr(curvegraph, "DEFAULT_CLIQUE_GUARD", 8)
+    assert g.edges() == edges
+    for guard in (3, 7):
+        monkeypatch.setattr(curvegraph, "DEFAULT_CLIQUE_GUARD", guard)
+        with pytest.raises(CapExceeded, match=f"more than {guard} curve-graph edges"):
+            g.edges()

@@ -33,7 +33,7 @@ EXPORTED = (
     "largest_real_root matrices monotonicity_scan normalized_spectral_radius "
     "parity_condition poly primitivity_compatible radical "
     "radical_elements real_roots_in_interval roots run_search search sharpness "
-    "silver_ratio_squared simple_cycles spectral_radius sqrt_min_poly strip_cyclotomic "
+    "spectral_radius sqrt_min_poly strip_cyclotomic "
     "thurston_form traintrack unit_circle_root_count verify_block_structure "
     "verify_clique_identity verify_low_degree_exceptions weight_space witness_check"
 ).split()

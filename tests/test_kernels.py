@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from matrix_reference import wielandt_positive
 from search_reference import primitive_unit_det_charpoly
 
-from stretchlab import _kernels
+from stretchlab import _kernels, curvegraph
 from stretchlab._kernels import BACKEND
 from stretchlab.curvegraph import _clique_coefficients, cycle_classes
 from stretchlab.errors import CapExceeded
@@ -20,13 +20,16 @@ from stretchlab.sharpness import build_matrix, expected_char_poly
 from stretchlab.traintrack import _kernel
 
 
-def test_caps_raise():
+def test_caps_raise(monkeypatch):
     a = IntMatrix([[3] * 4 for _ in range(4)])
+    monkeypatch.setattr(curvegraph, "DEFAULT_CYCLE_CAP", 5)
     with pytest.raises(CapExceeded):
-        cycle_classes(a, 5)
-    classes = cycle_classes(a, 10**6)
+        cycle_classes(a)
+    monkeypatch.setattr(curvegraph, "DEFAULT_CYCLE_CAP", 10**6)
+    classes = cycle_classes(a)
+    monkeypatch.setattr(curvegraph, "DEFAULT_CLIQUE_GUARD", 3)
     with pytest.raises(CapExceeded):
-        _clique_coefficients(classes, 4, 3)
+        _clique_coefficients(classes, 4)
 
 
 def test_star_import_exports_exactly_the_shared_kernels():

@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
-from matrix_reference import matmul, symmetric_square, wielandt_positive
+from matrix_reference import matmul, round_by_round_power, symmetric_square, wielandt_positive
 from stretchlab import matrices
 from stretchlab.matrices import (
     IntMatrix,
@@ -28,7 +29,7 @@ from stretchlab.matrices import (
     verify_block_structure,
 )
 from stretchlab.poly import IntPolynomial
-from stretchlab.roots import NoRealRootError, largest_real_root
+from stretchlab.roots import DEFAULT_TOL, NoRealRootError, largest_real_root
 
 P = IntPolynomial
 
@@ -94,6 +95,46 @@ def test_spectral_radius_examples():
     comp = companion(P((-1, -2, 0, 1)))
     mu3 = normalized_spectral_radius(comp)
     assert abs(float(mu3) - 4.23606797749979) < 1e-9
+
+
+def jump_fixtures() -> list[list[list[int]]]:
+    """Seeded nonnegative and signed matrices, integer-lambda ones, and a 10^300 entry."""
+    rng = random.Random(44)
+    nonnegative = [
+        [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        for n in (rng.randint(1, 5) for _ in range(24))
+    ]
+    signed = [
+        [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        for n in (rng.randint(2, 4) for _ in range(12))
+    ]
+    integer_lambda = [
+        [[k * (i == j) for j in range(n)] for i in range(n)] for k in (1, 2, 7) for n in (1, 4, 5)
+    ] + [
+        # companions of t^(n-1) (t - k): lambda = k, a dyadic bisection point of (0, bound]
+        [[k] + [0] * (n - 1)] + [[int(j == i - 1) for j in range(n)] for i in range(1, n)]
+        for k in (3, 7)
+        for n in (3, 4, 5)
+    ]
+    return nonnegative + signed + integer_lambda + [[[10**300, 1, 0], [0, 0, 1], [1, 0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [DEFAULT_TOL, Fraction(1, 3), Fraction(1, 1000), Fraction(16)],
+    ids=["2^-40", "1/3", "1/1000", "16"],
+)
+def test_jumped_rounds_match_the_round_by_round_loop(tol):
+    checked = 0
+    for rows in jump_fixtures():
+        m = IntMatrix(rows)
+        try:
+            rho = spectral_radius(m, tol)
+        except PerronPreconditionError:
+            continue
+        assert normalized_spectral_radius(m, tol, rho) == round_by_round_power(m.n, rho, tol), rows
+        checked += 1
+    assert checked >= 40
 
 
 def test_perron_dominance_numeric_cross_check():

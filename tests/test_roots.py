@@ -14,6 +14,7 @@ from poly_reference import square_free_part
 from stretchlab.poly import IntPolynomial, cyclotomic
 from stretchlab.roots import (
     DEFAULT_TOL,
+    SILVER_SQUARED_DECIMAL,
     NoRealRootError,
     RootEnclosure,
     cauchy_root_bound,
@@ -24,7 +25,6 @@ from stretchlab.roots import (
     largest_real_root,
     largest_root_above_one,
     real_roots_in_interval,
-    silver_ratio_squared,
     sturm_chain,
     unit_circle_root_count,
 )
@@ -34,6 +34,7 @@ P = IntPolynomial
 
 GOLDEN = P((-1, -1, 1))
 SILVER = P((-1, -2, 1))
+SILVER_SQUARE = P((1, -6, 1))  # its larger root is 3 + 2*sqrt(2)
 LEHMER = P((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 LT = P((1, -1, -1, -1, 1))
 
@@ -326,7 +327,7 @@ def test_power_comparison_near_the_threshold(e, k, side, tol):
 
 
 def test_silver_threshold_and_power_comparison():
-    s2 = silver_ratio_squared()
+    s2 = largest_real_root(SILVER_SQUARE)
     assert abs(float(s2) - 5.82842712474619) < 1e-10
     sigma = largest_real_root(SILVER)
     mu = largest_real_root(GOLDEN)
@@ -390,7 +391,18 @@ def test_comparators_isolate_no_threshold_and_take_one_gcd(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     fine = Fraction(1, 2**50)
-    assert silver_ratio_squared(fine).width <= fine
+    assert largest_real_root(SILVER_SQUARE, fine).width <= fine
+
+
+def test_printed_bound_is_the_silver_square_correctly_rounded():
+    # d / 10^9 is 3 + sqrt(8) to 10 digits iff 3 + sqrt(8) lies within half a
+    # unit of the last digit: lo < 2 * 10^9 * sqrt(8) < hi, squared in integers
+    whole, frac = SILVER_SQUARED_DECIMAL.split(".")
+    assert len(whole + frac) == 10 and whole.isdigit() and frac.isdigit()
+    scale = 10 ** len(frac)
+    d = int(whole + frac)
+    lo, hi = 2 * d - 1 - 6 * scale, 2 * d + 1 - 6 * scale
+    assert 0 < lo and lo**2 < 8 * (2 * scale) ** 2 < hi**2
 
 
 def test_decimal_and_dyadic_rendering():
